@@ -5,13 +5,17 @@
 Runs from the root of a source checkout, importing tempcore from its src/
 directory, in one process and one thread. A run
 
-1. loads the workload's input SETUP_LOADS times and reports the median
-   load as setup_s;
-2. runs the query once, untimed, as a warm-up whose answer is checked
-   against the peeling oracle with samples drawn from --seed;
+1. loads the workload's input and runs one query on it, a warm-up whose
+   output is discarded; the process's peak resident set over the load and
+   the query, above what the interpreter held before, is peak_mib;
+2. loads the input again and runs one untimed query whose answer is
+   checked against the peeling oracle with samples drawn from --seed;
 3. times queries for --seconds (at least MIN_QUERIES), each started right
    after gc.collect() with the collector left on, and reports the median
-   as query_s; every timed output must match the checked one;
+   as query_s; every timed output must match the checked one. Before each
+   timed query, untimed for query_s, the input is loaded once more, so
+   the loads are spread over the run like the queries; setup_s is the
+   median of all loads of the run;
 4. with --trace 1, runs TRACED_QUERIES queries with spans around each
    layer and the collector's pauses counted, reporting medians, and one
    more under tracemalloc with the peak of the query and of each layer,
@@ -28,6 +32,7 @@ import argparse
 import gc
 import json
 import random
+import resource
 import statistics
 import sys
 import time
@@ -37,7 +42,6 @@ from pathlib import Path
 from tracing import MIB, Tracer
 
 ROOT = Path(__file__).resolve().parent.parent
-SETUP_LOADS = 5
 MIN_QUERIES = 2
 TRACED_QUERIES = 3
 
@@ -55,28 +59,30 @@ def _import_program() -> str | None:
     return None
 
 
-def _setup(wl):
-    """Load SETUP_LOADS times, each from a collected heap; keep the last.
+def _load(wl, setup: list[dict[str, float]]):
+    """Load the input from a collected heap, recording the time of each layer.
 
     A load's time is the sum of its layer calls, so making the input file
     on a checkout's first run is not counted.
     """
-    totals, layers = [], []
-    state = None
-    for _ in range(SETUP_LOADS):
-        state = None
-        gc.collect()
-        state, parts = wl.load()
-        totals.append(sum(parts.values()))
-        layers.append(parts)
-    return state, statistics.median(totals), layers
+    gc.collect()
+    state, parts = wl.load()
+    setup.append(parts)
+    return state
 
 
-def _timed(wl, state, seconds: float, expect, problems: list[str]):
+def _maxrss_mib() -> float:
+    """The process's peak resident set so far (ru_maxrss is in KiB on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def _timed(wl, state, seconds: float, expect, problems: list[str],
+           setup: list[dict[str, float]]):
     times: list[float] = []
     attempted = failed = 0
     started = time.perf_counter()
     while time.perf_counter() - started < seconds or attempted < MIN_QUERIES:
+        _load(wl, setup)
         gc.collect()
         attempted += 1
         t0 = time.perf_counter()
@@ -175,11 +181,21 @@ def main(argv=None) -> int:
                      f"choose from {', '.join(WORKLOADS)}")
     wl = WORKLOADS[args.workload]
 
-    state, setup_s, setup_layers = _setup(wl)
+    setup: list[dict[str, float]] = []
+    baseline_mib = _maxrss_mib()
+    state = wl.query_state(_load(wl, setup))
+    gc.collect()
+    wl.query(state)
+    peak_mib = _maxrss_mib() - baseline_mib
+
+    state = None
+    state = _load(wl, setup)
     gc.collect()
     problems, expect = wl.check(state, random.Random(args.seed))
+    state = wl.query_state(state)
 
-    times, attempted, failed = _timed(wl, state, args.seconds, expect, problems)
+    times, attempted, failed = _timed(wl, state, args.seconds, expect, problems,
+                                      setup)
     print("perfbench: query seconds " + " ".join(f"{t:.4f}" for t in times),
           file=sys.stderr)
     if not times:
@@ -194,11 +210,11 @@ def main(argv=None) -> int:
                 problems.append(f"traced output {signature} != checked {expect}")
         timings = [tracer for tracer, _ in traced[:-1]]
         memory, signature = traced[-1]
-        metrics = _layer_metrics(setup_layers, timings, memory, signature, query_s)
-        print(json.dumps({"spans": [t.to_json() for t in timings],
-                          "memory": memory.to_json()}), file=sys.stderr)
+        metrics = _layer_metrics(setup, timings, memory, signature, query_s)
     else:
+        setup_s = statistics.median(sum(parts.values()) for parts in setup)
         metrics = {"query_s": {"value": query_s, "unit": "s"},
+                   "peak_mib": {"value": peak_mib, "unit": "MiB"},
                    "setup_s": {"value": setup_s, "unit": "s"}}
 
     for problem in problems:

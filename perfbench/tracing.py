@@ -116,10 +116,3 @@ class Tracer:
         """Spans called `name` whose enclosing span is called `parent`."""
         return [s for s in self.spans if s.name == name and s.parent is not None
                 and self.spans[s.parent].name == parent]
-
-    def to_json(self) -> list[dict]:
-        t0 = self.spans[0].start if self.spans else 0.0
-        return [{"id": i, "name": s.name, "parent": s.parent,
-                 "start_s": s.start - t0, "end_s": s.end - t0,
-                 "peak_mib": s.peak / MIB}
-                for i, s in enumerate(self.spans)]
