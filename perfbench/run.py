@@ -10,16 +10,19 @@ directory, in one process and one thread. A run
    the query, above what the interpreter held before, is peak_mib;
 2. loads the input again and runs one untimed query whose answer is
    checked against the peeling oracle with samples drawn from --seed;
-3. times queries for --seconds (at least MIN_QUERIES), each started right
-   after gc.collect() with the collector left on, and reports the median
-   as query_s; every timed output must match the checked one. Before each
-   timed query, untimed for query_s, the input is loaded once more, so
-   the loads are spread over the run like the queries; setup_s is the
-   median of all loads of the run;
+3. for --seconds (at least MIN_QUERIES times), loads the input and then
+   runs a query, each started right after gc.collect() with the collector
+   left on; every timed output must match the checked one. The reference
+   computation (reference.py) is timed before and after each load and
+   query, and each time is divided by the mean of the two references
+   around it and scaled to reference.NOMINAL_S, which cancels the shared
+   machine's swings in speed. query_s and setup_s are the medians of the
+   scaled query and load times;
 4. with --trace 1, runs TRACED_QUERIES queries with spans around each
    layer and the collector's pauses counted, reporting medians, and one
    more under tracemalloc with the peak of the query and of each layer,
-   and reports these per-layer metrics instead.
+   and reports these per-layer metrics instead, with the unscaled median
+   query time and the median reference time.
 
 The last line of stdout is one JSON object: correct, attempted, failed and
 metrics. Exit code 0 when correct, 1 when a check failed, 2 when the
@@ -37,8 +40,10 @@ import statistics
 import sys
 import time
 import traceback
+from dataclasses import dataclass, field
 from pathlib import Path
 
+from reference import NOMINAL_S, Reference
 from tracing import MIB, Tracer
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -63,12 +68,12 @@ def _load(wl, setup: list[dict[str, float]]):
     """Load the input from a collected heap, recording the time of each layer.
 
     A load's time is the sum of its layer calls, so making the input file
-    on a checkout's first run is not counted.
+    on a checkout's first run is not counted. Returns the state and that time.
     """
     gc.collect()
     state, parts = wl.load()
     setup.append(parts)
-    return state
+    return state, sum(parts.values())
 
 
 def _maxrss_mib() -> float:
@@ -76,26 +81,47 @@ def _maxrss_mib() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
-def _timed(wl, state, seconds: float, expect, problems: list[str],
-           setup: list[dict[str, float]]):
-    times: list[float] = []
-    attempted = failed = 0
+@dataclass
+class Timing:
+    """Times of the timed phase; `queries` and `loads` are scaled seconds."""
+    queries: list[float] = field(default_factory=list)
+    loads: list[float] = field(default_factory=list)
+    query_wall: list[float] = field(default_factory=list)
+    references: list[float] = field(default_factory=list)
+    attempted: int = 0
+    failed: int = 0
+
+
+def _timed(wl, state, ref: Reference, seconds: float, expect, problems: list[str],
+           setup: list[dict[str, float]]) -> Timing:
+    """Alternate loads and queries, each between two reference times."""
+    timing = Timing()
+    before = ref.measure()
+    timing.references.append(before)
     started = time.perf_counter()
-    while time.perf_counter() - started < seconds or attempted < MIN_QUERIES:
-        _load(wl, setup)
+    while time.perf_counter() - started < seconds or timing.attempted < MIN_QUERIES:
+        load_s = _load(wl, setup)[1]    # the loaded state is dropped here
+        middle = ref.measure()
         gc.collect()
-        attempted += 1
+        timing.attempted += 1
         t0 = time.perf_counter()
         try:
             signature = wl.query(state)
+            query_s = time.perf_counter() - t0
         except Exception:
-            failed += 1
+            signature = None
+            timing.failed += 1
             traceback.print_exc()
-            continue
-        times.append(time.perf_counter() - t0)
-        if signature != expect:
-            problems.append(f"timed query output {signature} != checked {expect}")
-    return times, attempted, failed
+        after = ref.measure()
+        timing.references += [middle, after]
+        timing.loads.append(NOMINAL_S * load_s / ((before + middle) / 2))
+        if signature is not None:
+            timing.query_wall.append(query_s)
+            timing.queries.append(NOMINAL_S * query_s / ((middle + after) / 2))
+            if signature != expect:
+                problems.append(f"timed query output {signature} != checked {expect}")
+        before = after
+    return timing
 
 
 def _traced(wl, state, memory: bool):
@@ -106,7 +132,7 @@ def _traced(wl, state, memory: bool):
     return tracer, signature
 
 
-def _layer_metrics(setup_layers, timings, memory, signature, query_s) -> dict:
+def _layer_metrics(setup_layers, timings, memory, signature, timed: Timing) -> dict:
     def median_part(name):
         return statistics.median(parts.get(name, 0.0) for parts in setup_layers)
 
@@ -129,7 +155,10 @@ def _layer_metrics(setup_layers, timings, memory, signature, query_s) -> dict:
     windows_count, edges_in_span = windows.info
     st = sweep.info
     is_cli = root.name == "cli"
+    query_wall_s = statistics.median(timed.query_wall)
     m = {
+        "query.wall_s": (query_wall_s, "s"),
+        "machine.ref_s": (statistics.median(timed.references), "s"),
         "query.peak_mib": (memory.spans[0].peak / MIB, "MiB"),
         "graph.parse_s": (median_part("parse"), "s"),
         "graph.stats_s": (median_part("stats"), "s"),
@@ -157,7 +186,7 @@ def _layer_metrics(setup_layers, timings, memory, signature, query_s) -> dict:
         "gc.full_collections": (timing.gc_full, "count"),
         "gc.pause_s": (median_over_queries(lambda t: t.gc_pause), "s"),
         "trace.overhead_s": (median_over_queries(lambda t: t.spans[0].seconds)
-                             - query_s, "s"),
+                             - query_wall_s, "s"),
     }
     return {name: {"value": value, "unit": unit} for name, (value, unit) in m.items()}
 
@@ -183,24 +212,24 @@ def main(argv=None) -> int:
 
     setup: list[dict[str, float]] = []
     baseline_mib = _maxrss_mib()
-    state = wl.query_state(_load(wl, setup))
+    state = wl.query_state(_load(wl, setup)[0])
     gc.collect()
     wl.query(state)
     peak_mib = _maxrss_mib() - baseline_mib
 
     state = None
-    state = _load(wl, setup)
+    ref = Reference()
+    state, _ = _load(wl, setup)
     gc.collect()
     problems, expect = wl.check(state, random.Random(args.seed))
     state = wl.query_state(state)
 
-    times, attempted, failed = _timed(wl, state, args.seconds, expect, problems,
-                                      setup)
-    print("perfbench: query seconds " + " ".join(f"{t:.4f}" for t in times),
+    timed = _timed(wl, state, ref, args.seconds, expect, problems, setup)
+    print("perfbench: query seconds " + " ".join(f"{t:.4f}" for t in timed.query_wall)
+          + "; reference seconds " + " ".join(f"{t:.4f}" for t in timed.references),
           file=sys.stderr)
-    if not times:
+    if not timed.queries:
         problems.append("no query completed")
-    query_s = statistics.median(times) if times else 0.0
 
     if args.trace:
         traced = [_traced(wl, state, memory=False) for _ in range(TRACED_QUERIES)]
@@ -210,17 +239,18 @@ def main(argv=None) -> int:
                 problems.append(f"traced output {signature} != checked {expect}")
         timings = [tracer for tracer, _ in traced[:-1]]
         memory, signature = traced[-1]
-        metrics = _layer_metrics(setup, timings, memory, signature, query_s)
+        metrics = _layer_metrics(setup, timings, memory, signature, timed)
     else:
-        setup_s = statistics.median(sum(parts.values()) for parts in setup)
+        query_s = statistics.median(timed.queries) if timed.queries else 0.0
         metrics = {"query_s": {"value": query_s, "unit": "s"},
                    "peak_mib": {"value": peak_mib, "unit": "MiB"},
-                   "setup_s": {"value": setup_s, "unit": "s"}}
+                   "setup_s": {"value": statistics.median(timed.loads), "unit": "s"}}
 
     for problem in problems:
         print(f"perfbench: CHECK FAILED: {problem}", file=sys.stderr)
     correct = not problems
-    print(json.dumps({"correct": correct, "attempted": attempted, "failed": failed,
+    print(json.dumps({"correct": correct, "attempted": timed.attempted,
+                      "failed": timed.failed,
                       "metrics": metrics}))
     return 0 if correct else 1
 
