@@ -8,7 +8,7 @@ start times from which the vertex never reaches a core again.
 
 from pathlib import Path
 
-from tempcore import build_core_times, core_time_at, parse_edge_list
+from tempcore import build_core_times, parse_edge_list
 
 DATA = Path(__file__).resolve().parents[1] / "data" / "g14.txt"
 
@@ -22,5 +22,5 @@ print(index.to_text(g.labels))
 v1 = g.labels.index(1)
 print("\nvertex 1, start by start:")
 for ts in range(1, 8):
-    ct = core_time_at(index, v1, ts)
+    ct = index.at(v1, ts)
     print(f"  from ts={ts}: earliest core end = {ct if ct is not None else 'never'}")

@@ -8,17 +8,16 @@ minimal core windows from it, and sweeps start times over an end-ordered
 window list. A from-scratch peeling oracle backs every stage for testing.
 """
 
-from .coretime import CoreTimeIndex, build_core_times, core_time_at
+from .coretime import CoreTimeIndex, build_core_times
 from .graph import (BudgetExceeded, EmptyGraphError, GraphStats, ParseError,
                     TemporalEdge, TemporalGraph, TimeDomain, canonical_edges,
                     compress_timestamps, parse_edge_list, static_coreness, stats)
 from .oracle import (BruteEnumeration, CoreSubgraph, brute_core_times,
                      brute_core_windows, brute_enumerate, temporal_kcore,
                      window_cores)
-from .sweep import (BaselineStats, CoreResult, CountSink, DeltaSink, FullSink,
-                    ResultSink, SizesSink, SweepStats, WindowList,
-                    enumerate_cores, enumerate_cores_baseline, make_sink,
-                    scan_start)
+from .sweep import (BaselineStats, CoreResult, DeltaSink, FullSink, ResultSink,
+                    SizesSink, SweepStats, WindowList, enumerate_cores,
+                    enumerate_cores_baseline, make_sink, scan_start)
 from .windows import (CoreWindowIndex, MinimalCoreWindow, build_core_windows,
                       compute_active_times)
 from .workload import (QuerySpec, RunReport, WorkloadError, format_record,
@@ -29,15 +28,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BaselineStats", "BruteEnumeration", "BudgetExceeded", "CoreResult",
-    "CoreSubgraph", "CoreTimeIndex", "CoreWindowIndex", "CountSink",
-    "DeltaSink", "EmptyGraphError", "FullSink", "GraphStats",
-    "MinimalCoreWindow", "ParseError", "QuerySpec", "ResultSink", "RunReport",
-    "SizesSink", "SweepStats", "TemporalEdge", "TemporalGraph", "TimeDomain",
-    "WindowList", "WorkloadError", "brute_core_times", "brute_core_windows",
+    "CoreSubgraph", "CoreTimeIndex", "CoreWindowIndex", "DeltaSink",
+    "EmptyGraphError", "FullSink", "GraphStats", "MinimalCoreWindow",
+    "ParseError", "QuerySpec", "ResultSink", "RunReport", "SizesSink",
+    "SweepStats", "TemporalEdge", "TemporalGraph", "TimeDomain", "WindowList",
+    "WorkloadError", "brute_core_times", "brute_core_windows",
     "brute_enumerate", "build_core_times", "build_core_windows",
     "canonical_edges", "compress_timestamps", "compute_active_times",
-    "core_time_at", "enumerate_cores", "enumerate_cores_baseline",
-    "format_record", "gen_queries", "make_sink", "parse_edge_list",
-    "place_span", "resolve_k", "resolve_width", "run_query", "scan_start",
-    "static_coreness", "stats", "temporal_kcore", "window_cores",
+    "enumerate_cores", "enumerate_cores_baseline", "format_record",
+    "gen_queries", "make_sink", "parse_edge_list", "place_span", "resolve_k",
+    "resolve_width", "run_query", "scan_start", "static_coreness", "stats",
+    "temporal_kcore", "window_cores",
 ]

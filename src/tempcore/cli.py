@@ -1,9 +1,9 @@
 """Command line front end.
 
 Subcommands: stats, query, gen, verify, bench. Exit codes: 0 success,
-1 usage or parse failure, 2 verification mismatch, 3 every bench cell
-timed out. Result streams go to stdout (or --out); run reports and
-diagnostics go to stderr.
+1 usage or parse failure, 2 verification mismatch, 3 budget exhausted (a
+query past --budget, or every bench cell timed out). Result streams go to
+stdout (or --out); run reports and diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -202,7 +202,8 @@ def _build_parser() -> _Parser:
     p_query.add_argument("--mode", choices=MODES, default="count")
     p_query.add_argument("--seed", type=int, default=0)
     p_query.add_argument("--budget", type=float, default=0.0,
-                         help="abort past this many seconds (0 = unlimited)")
+                         help="abort past this many seconds (0 = unlimited); "
+                              "bounds only enumbase and brute")
     p_query.add_argument("--out")
 
     p_gen = sub.add_parser("gen", help="generate a seeded query workload")
@@ -247,6 +248,9 @@ def main(argv=None) -> int:
     except (ParseError, EmptyGraphError, WorkloadError, ValueError, OSError) as exc:
         print(f"tempcore: error: {exc}", file=sys.stderr)
         return 1
+    except BudgetExceeded as exc:
+        print(f"tempcore: error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

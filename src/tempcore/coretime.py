@@ -22,7 +22,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import inf
 
-from .graph import TemporalGraph
+from .graph import TemporalGraph, WindowPeel
 
 Runs = tuple[tuple[int, int | None], ...]
 
@@ -47,9 +47,6 @@ class CoreTimeIndex:
         i = bisect_right(entries, ts, key=lambda e: e[0]) - 1
         return entries[i][1] if i >= 0 else None
 
-    def has_any_core(self) -> bool:
-        return any(self.runs)
-
     def to_text(self, labels=None) -> str:
         """One line per vertex with entries, e.g. 'v3: [1,4], [2,6], [7,inf]'."""
         lines = []
@@ -60,10 +57,6 @@ class CoreTimeIndex:
             body = ", ".join(f"[{ts},{'inf' if ct is None else ct}]" for ts, ct in entries)
             lines.append(f"{name}: {body}")
         return "\n".join(lines)
-
-
-def core_time_at(index: CoreTimeIndex, u: int, ts: int) -> int | None:
-    return index.at(u, ts)
 
 
 def build_core_times(g: TemporalGraph, k: int, span: tuple[int, int]) -> CoreTimeIndex:
@@ -153,61 +146,11 @@ def _initial_core_times(g: TemporalGraph, k: int, span: tuple[int, int]) -> list
     edges of end time te was last in a core at te.
     """
     ts_lo, ts_hi = span
-    nbr: dict[int, dict[int, int]] = {}
-    for t in range(ts_lo, ts_hi + 1):
-        for u, v, _ in g.edges_at[t]:
-            du = nbr.setdefault(u, {})
-            du[v] = du.get(v, 0) + 1
-            dv = nbr.setdefault(v, {})
-            dv[u] = dv.get(u, 0) + 1
+    peel = WindowPeel(g, k, ts_lo, ts_hi)
     ct: list = [inf] * g.n
-    queue = [v for v, d in nbr.items() if len(d) < k]
-    while queue:
-        v = queue.pop()
-        d = nbr.pop(v, None)
-        if d is None:
-            continue
-        for u in d:
-            du = nbr.get(u)
-            if du is None:
-                continue
-            del du[v]
-            if len(du) == k - 1:
-                queue.append(u)
     for te in range(ts_hi, ts_lo - 1, -1):
-        if not nbr:
+        if not peel.nbr:
             break
-        queue = []
-        for e in g.edges_at[te]:
-            u, v = e.u, e.v
-            du = nbr.get(u)
-            if du is None:
-                continue
-            c = du.get(v)
-            if c is None:
-                continue
-            if c > 1:
-                du[v] = c - 1
-                nbr[v][u] = c - 1
-                continue
-            del du[v]
-            dv = nbr[v]
-            del dv[u]
-            if len(du) == k - 1:
-                queue.append(u)
-            if len(dv) == k - 1:
-                queue.append(v)
-        while queue:
-            w = queue.pop()
-            d = nbr.pop(w, None)
-            if d is None:
-                continue
+        for w in peel.drop(te):
             ct[w] = te
-            for x in d:
-                dx = nbr.get(x)
-                if dx is None:
-                    continue
-                del dx[w]
-                if len(dx) == k - 1:
-                    queue.append(x)
     return ct

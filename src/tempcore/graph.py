@@ -84,25 +84,17 @@ class TemporalGraph:
         edges_at: edges bucketed by compressed timestamp (index 0 unused).
         time_domain: raw <-> compressed timestamp mapping.
         labels: dense id -> original input id.
-        normalized_merges: input edges that collapsed onto an already seen
-            triple with the opposite orientation (diagnostic only).
-        duplicate_counts: per-triple input multiplicities above one, kept
-            only when requested (diagnostic only).
     """
 
-    __slots__ = ("n", "edges", "adj", "edges_at", "time_domain", "labels",
-                 "normalized_merges", "duplicate_counts")
+    __slots__ = ("n", "edges", "adj", "edges_at", "time_domain", "labels")
 
-    def __init__(self, n, edges, adj, edges_at, time_domain, labels,
-                 normalized_merges=0, duplicate_counts=None):
+    def __init__(self, n, edges, adj, edges_at, time_domain, labels):
         self.n = n
         self.edges = edges
         self.adj = adj
         self.edges_at = edges_at
         self.time_domain = time_domain
         self.labels = labels
-        self.normalized_merges = normalized_merges
-        self.duplicate_counts = duplicate_counts
 
     @property
     def m(self) -> int:
@@ -113,22 +105,17 @@ class TemporalGraph:
         return self.time_domain.t_count
 
     @classmethod
-    def from_triples(cls, triples: Iterable[tuple[int, int, int]], *,
-                     directed_input: bool = False,
-                     dedupe_exact: bool = True) -> "TemporalGraph":
+    def from_triples(cls, triples: Iterable[tuple[int, int, int]]) -> "TemporalGraph":
         """Build a graph from raw (u, v, t) triples.
 
         Self-loops are dropped, endpoints canonicalized, duplicate triples
-        collapsed, timestamps compressed. `directed_input` only switches on
-        the reversed-duplicate diagnostic; `dedupe_exact=False` additionally
-        records how often each triple appeared. Neither flag changes the
-        stored structure.
+        collapsed, timestamps compressed.
         """
         dense: dict[int, int] = {}
         labels: list[int] = []
-        kept: dict[tuple[int, int, int], tuple[int, int]] = {}
-        normalized_merges = 0
-        dup_counts: dict[tuple[int, int, int], int] | None = None if dedupe_exact else {}
+        # a dict rather than a set: insertion order keeps the input's time
+        # order, which makes the edge sort below cheap
+        kept: dict[tuple[int, int, int], None] = {}
         for u, v, t in triples:
             if u == v:
                 continue
@@ -140,15 +127,7 @@ class TemporalGraph:
             if dv is None:
                 dv = dense[v] = len(labels)
                 labels.append(v)
-            key = (du, dv, t) if du < dv else (dv, du, t)
-            prev = kept.get(key)
-            if prev is not None:
-                if dup_counts is not None:
-                    dup_counts[key] = dup_counts.get(key, 1) + 1
-                if directed_input and prev != (du, dv):
-                    normalized_merges += 1
-                continue
-            kept[key] = (du, dv)
+            kept[(du, dv, t) if du < dv else (dv, du, t)] = None
         if not kept:
             raise EmptyGraphError("no edges remain after normalization")
         domain = compress_timestamps(t for (_, _, t) in kept)
@@ -164,8 +143,7 @@ class TemporalGraph:
             edges_at[e.t].append(e)
         for lst in adj:
             lst.sort()
-        return cls(n, edges, adj, edges_at, domain, labels,
-                   normalized_merges, dup_counts)
+        return cls(n, edges, adj, edges_at, domain, labels)
 
     def neighbors_in(self, u: int, lo: int, hi: int) -> list[tuple[int, int]]:
         """Incident (neighbour, t) pairs with lo <= t <= hi, ordered by t."""
@@ -179,8 +157,7 @@ class TemporalGraph:
         return [(v, t) for (t, v) in a[i:j]]
 
 
-def parse_edge_list(stream: Iterable[str], *, directed_input: bool = False,
-                    dedupe_exact: bool = True) -> TemporalGraph:
+def parse_edge_list(stream: Iterable[str]) -> TemporalGraph:
     """Parse "u v t" lines into a TemporalGraph.
 
     Lines starting with '#' or '%' and blank lines are skipped; fields past
@@ -204,8 +181,76 @@ def parse_edge_list(stream: Iterable[str], *, directed_input: bool = False,
         triples.append((u, v, t))
     if not triples:
         raise EmptyGraphError("input contains no edges")
-    return TemporalGraph.from_triples(triples, directed_input=directed_input,
-                                      dedupe_exact=dedupe_exact)
+    return TemporalGraph.from_triples(triples)
+
+
+class WindowPeel:
+    """The k-core of the window [lo, hi], shrunk from the right.
+
+    nbr maps each vertex of the core to its in-core neighbours, each with
+    the number of window edges joining the pair. drop(te) removes the edges
+    of end time te, the window's current last timestamp, and peels to the
+    k-core again.
+    """
+
+    __slots__ = ("k", "nbr", "edges_at")
+
+    def __init__(self, g: TemporalGraph, k: int, lo: int, hi: int) -> None:
+        nbr: dict[int, dict[int, int]] = {}
+        for t in range(lo, hi + 1):
+            for u, v, _ in g.edges_at[t]:
+                du = nbr.setdefault(u, {})
+                du[v] = du.get(v, 0) + 1
+                dv = nbr.setdefault(v, {})
+                dv[u] = dv.get(u, 0) + 1
+        self.k = k
+        self.nbr = nbr
+        self.edges_at = g.edges_at
+        self._peel([v for v, d in nbr.items() if len(d) < k])
+
+    def _peel(self, queue: list[int]) -> list[int]:
+        nbr = self.nbr
+        k1 = self.k - 1
+        peeled = []
+        while queue:
+            w = queue.pop()
+            d = nbr.pop(w, None)
+            if d is None:
+                continue
+            peeled.append(w)
+            for x in d:
+                dx = nbr.get(x)
+                if dx is None:
+                    continue
+                del dx[w]
+                if len(dx) == k1:
+                    queue.append(x)
+        return peeled
+
+    def drop(self, te: int) -> list[int]:
+        """Remove the edges of end time te; return the vertices peeled out."""
+        nbr = self.nbr
+        k1 = self.k - 1
+        queue = []
+        for u, v, _ in self.edges_at[te]:
+            du = nbr.get(u)
+            if du is None:
+                continue
+            c = du.get(v)
+            if c is None:
+                continue
+            if c > 1:
+                du[v] = c - 1
+                nbr[v][u] = c - 1
+                continue
+            del du[v]
+            dv = nbr[v]
+            del dv[u]
+            if len(du) == k1:
+                queue.append(u)
+            if len(dv) == k1:
+                queue.append(v)
+        return self._peel(queue)
 
 
 def static_coreness(g: TemporalGraph, window: tuple[int, int]) -> list[int]:

@@ -8,8 +8,10 @@ span; brute_core_times and brute_core_windows read those per-window results
 back into the index types. brute_enumerate also visits every window but
 maintains the core decrementally per start time (for a fixed start,
 membership is monotone in the end time), which keeps exhaustive scans
-feasible on larger inputs; a dedicated test pins its per-window behaviour
-to temporal_kcore.
+feasible on larger inputs. It shares that right-shrink peel, graph's
+WindowPeel, with the first start time of the core-time index, so a
+dedicated test pins its per-window behaviour to temporal_kcore, which
+shares nothing with either.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .coretime import CoreTimeIndex
-from .graph import BudgetExceeded, TemporalEdge, TemporalGraph, canonical_edges
+from .graph import (BudgetExceeded, TemporalEdge, TemporalGraph, WindowPeel,
+                    canonical_edges)
 from .windows import CoreWindowIndex, MinimalCoreWindow, compute_active_times
 
 
@@ -109,26 +112,8 @@ def brute_enumerate(g: TemporalGraph, k: int, span: tuple[int, int],
         scanned += ts_hi - ts + 1
         if deadline is not None and time.perf_counter() > deadline:
             raise BudgetExceeded(f"brute scan exceeded its deadline at start {ts}")
-        nbr: dict[int, dict[int, int]] = {}
-        for t in range(ts, ts_hi + 1):
-            for u, v, _ in edges_at[t]:
-                du = nbr.setdefault(u, {})
-                du[v] = du.get(v, 0) + 1
-                dv = nbr.setdefault(v, {})
-                dv[u] = dv.get(u, 0) + 1
-        queue = [v for v, d in nbr.items() if len(d) < k]
-        while queue:
-            v = queue.pop()
-            d = nbr.pop(v, None)
-            if d is None:
-                continue
-            for u in d:
-                du = nbr.get(u)
-                if du is None:
-                    continue
-                del du[v]
-                if len(du) == k - 1:
-                    queue.append(u)
+        peel = WindowPeel(g, k, ts, ts_hi)
+        nbr = peel.nbr
         if not nbr:
             continue
         live_edges: set[TemporalEdge] = set()
@@ -138,7 +123,7 @@ def brute_enumerate(g: TemporalGraph, k: int, span: tuple[int, int],
                     live_edges.add(e)
         changed = True
         for te in range(ts_hi, ts - 1, -1):
-            # structures now describe the core of [ts, te]
+            # nbr and live_edges now describe the core of [ts, te]
             if changed and live_edges:
                 key = frozenset(live_edges)
                 if key not in seen:
@@ -149,40 +134,11 @@ def brute_enumerate(g: TemporalGraph, k: int, span: tuple[int, int],
             if not nbr:
                 break
             changed = False
-            queue = []
             for e in edges_at[te]:
-                u, v = e.u, e.v
-                du = nbr.get(u)
-                if du is None:
-                    continue
-                c = du.get(v)
-                if c is None:
-                    continue
-                live_edges.discard(e)
-                changed = True
-                if c > 1:
-                    du[v] = c - 1
-                    nbr[v][u] = c - 1
-                    continue
-                del du[v]
-                dv = nbr[v]
-                del dv[u]
-                if len(du) == k - 1:
-                    queue.append(u)
-                if len(dv) == k - 1:
-                    queue.append(v)
-            while queue:
-                w = queue.pop()
-                d = nbr.pop(w, None)
-                if d is None:
-                    continue
-                for x in d:
-                    dx = nbr.get(x)
-                    if dx is None:
-                        continue
-                    del dx[w]
-                    if len(dx) == k - 1:
-                        queue.append(x)
+                if e.u in nbr and e.v in nbr:
+                    live_edges.discard(e)
+                    changed = True
+            for w in peel.drop(te):
                 aw = adj[w]
                 i = bisect_left(aw, (ts, -1))
                 j = bisect_left(aw, (te, -1))

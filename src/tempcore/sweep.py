@@ -12,9 +12,11 @@ of each equal-end run. Distinctness needs no bookkeeping because tightest
 intervals are unique per core.
 
 enumerate_cores_baseline is the quadratic reference: for every start time
-it buckets each edge's first window starting no earlier, forms cores
-cumulatively over end times, and deduplicates globally by hashing canonical
-edge lists.
+it buckets each edge's first window starting no earlier and forms cores
+cumulatively over end times. A core with tightest interval [a, b] is found
+by the scan of start a at end b, and often again by scans of earlier
+starts; the baseline emits it only at scan a, so it needs no table of cores
+seen and emits in (ts, te) order.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
-from hashlib import blake2b
-from itertools import chain
 
 from .graph import BudgetExceeded, TemporalEdge, canonical_edges
 from .windows import CoreWindowIndex
@@ -40,9 +40,10 @@ class CoreResult:
 class ResultSink:
     """Receives (tti_ts, tti_te, accumulated edges) per emitted core.
 
-    The sweep calls emit in (ts, te) ascending order with a strictly growing
-    accumulator per ts; prev_len marks the accumulator length at the previous
-    emission of the same start time.
+    Every enumerator (the sweep, the baseline, and run_query for brute)
+    calls emit in (ts, te) ascending order with a strictly growing
+    accumulator per ts; prev_len marks the accumulator length at the
+    previous emission of the same start time. Used as is, it counts.
     """
 
     mode = "count"
@@ -55,10 +56,6 @@ class ResultSink:
     def emit(self, ts: int, te: int, acc: list[TemporalEdge], prev_len: int) -> None:
         self.cores += 1
         self.result_size += len(acc)
-
-
-class CountSink(ResultSink):
-    mode = "count"
 
 
 class SizesSink(ResultSink):
@@ -97,7 +94,7 @@ class FullSink(ResultSink):
         self.records.append(CoreResult(ts, te, len(acc), canonical_edges(acc)))
 
 
-_SINKS = {"count": CountSink, "sizes": SizesSink, "delta": DeltaSink, "full": FullSink}
+_SINKS = {"count": ResultSink, "sizes": SizesSink, "delta": DeltaSink, "full": FullSink}
 
 
 def make_sink(mode: str) -> ResultSink:
@@ -245,25 +242,16 @@ class BaselineStats:
     result_size: int
 
 
-def _digest(canonical: tuple[TemporalEdge, ...]) -> bytes:
-    packed = ",".join(map(str, chain.from_iterable(canonical)))
-    return blake2b(packed.encode(), digest_size=16).digest()
-
-
 def enumerate_cores_baseline(index: CoreWindowIndex, span: tuple[int, int],
                              sink: ResultSink,
                              deadline: float | None = None) -> BaselineStats:
-    """Bucket-and-scan every window of the span, deduplicating globally.
-
-    Stores a 128-bit digest plus the canonical edge list per distinct core
-    and compares the full list on digest collision; memory-greedy.
-    """
+    """Bucket-and-scan every window of the span, emitting each distinct core
+    once, at the scan of its tightest start time."""
     ts_lo, ts_hi = span
     if index.span != (ts_lo, ts_hi):
         raise ValueError("window index was built for a different span")
     edge_wins = [(e, [w.start for w in wins], wins)
                  for e, wins in index.by_edge.items() if wins]
-    seen: dict[bytes, list[tuple[TemporalEdge, ...]]] = {}
     scanned = 0
     cores = 0
     size0 = sink.result_size
@@ -284,12 +272,9 @@ def enumerate_cores_baseline(index: CoreWindowIndex, span: tuple[int, int],
                 continue
             acc.extend(bucket)
             canonical = canonical_edges(acc)
-            digest = _digest(canonical)
-            known = seen.get(digest)
-            if known is not None and canonical in known:
+            if canonical[0].t != ts:
                 continue
-            seen.setdefault(digest, []).append(canonical)
-            sink.emit(canonical[0].t, canonical[-1].t, acc, prev_len)
+            sink.emit(ts, canonical[-1].t, acc, prev_len)
             prev_len = len(acc)
             cores += 1
     return BaselineStats(cores, scanned, sink.result_size - size0)

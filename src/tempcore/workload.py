@@ -9,8 +9,8 @@ import time
 from dataclasses import dataclass
 
 from .coretime import build_core_times
-from .graph import TemporalGraph, stats
-from .oracle import brute_enumerate
+from .graph import TemporalEdge, TemporalGraph, stats
+from .oracle import brute_enumerate, temporal_kcore
 from .sweep import (CoreResult, enumerate_cores, enumerate_cores_baseline,
                     make_sink)
 from .windows import build_core_windows
@@ -52,9 +52,10 @@ def place_span(g: TemporalGraph, k: int, width: int, rng: random.Random,
                max_attempts: int = 200) -> tuple[tuple[int, int], int]:
     """Uniformly place a width-wide range that contains at least one k-core.
 
-    A draw is rejected unless a throwaway core-time index for it holds a
-    finite entry. Returns the span and the number of rejected draws; raises
-    WorkloadError when max_attempts draws all fail.
+    A draw is rejected unless the k-core of the whole range is non-empty;
+    a k-core only grows with its window, so that is exactly when some
+    sub-window holds one. Returns the span and the number of rejected draws;
+    raises WorkloadError when max_attempts draws all fail.
     """
     if not 1 <= width <= g.t_count:
         raise ValueError(f"width {width} outside 1..{g.t_count}")
@@ -62,7 +63,7 @@ def place_span(g: TemporalGraph, k: int, width: int, rng: random.Random,
     for _ in range(max_attempts):
         ts0 = rng.randint(1, g.t_count - width + 1)
         span = (ts0, ts0 + width - 1)
-        if build_core_times(g, k, span).has_any_core():
+        if temporal_kcore(g, k, span) is not None:
             return span, rejections
         rejections += 1
     raise WorkloadError(f"no width-{width} range with a {k}-core found "
@@ -153,44 +154,38 @@ def run_query(g: TemporalGraph, k: int, span: tuple[int, int], algo: str = "enum
     if not 1 <= ts_lo <= ts_hi <= g.t_count:
         raise ValueError(f"span [{ts_lo},{ts_hi}] outside 1..{g.t_count}")
 
-    if algo == "brute":
-        t0 = time.perf_counter()
-        result = brute_enumerate(g, k, span, deadline=deadline)
-        t1 = time.perf_counter()
-        records: list[CoreResult] = []
-        total = 0
-        prev_by_ts: dict[int, frozenset] = {}
-        for core in result.cores:
-            total += core.size
-            if mode == "sizes":
-                records.append(CoreResult(core.tti[0], core.tti[1], core.size, None))
-            elif mode == "full":
-                records.append(CoreResult(core.tti[0], core.tti[1], core.size, core.edges))
-            elif mode == "delta":
-                prev = prev_by_ts.get(core.tti[0], frozenset())
-                added = tuple(e for e in core.edges if e not in prev)
-                prev_by_ts[core.tti[0]] = frozenset(core.edges)
-                records.append(CoreResult(core.tti[0], core.tti[1], core.size, added))
-        report = RunReport(algo, k, ts_lo, ts_hi, len(result.cores), total, 0, 0,
-                           0, result.windows_scanned, 0.0, 0.0, t1 - t0,
-                           _peak_rss_kb())
-        return records, report
-
-    t0 = time.perf_counter()
-    core_times = build_core_times(g, k, span)
-    t1 = time.perf_counter()
-    core_windows = build_core_windows(g, k, span, core_times)
-    t2 = time.perf_counter()
     sink = make_sink(mode)
-    if algo == "enum":
-        st = enumerate_cores(core_windows, span, sink)
-        node_ops, scanned = st.node_ops, 0
+    core_times_size = windows_size = node_ops = scanned = 0
+    t0 = t1 = t2 = time.perf_counter()
+    if algo == "brute":
+        result = brute_enumerate(g, k, span, deadline=deadline)
+        scanned = result.windows_scanned
+        # the cores come TTI-sorted and those of one start time are nested,
+        # so each extends its start time's accumulator by its new edges
+        acc: list[TemporalEdge] = []
+        members: set[TemporalEdge] = set()
+        acc_ts = None
+        for core in result.cores:
+            if core.tti[0] != acc_ts:
+                acc, members, acc_ts = [], set(), core.tti[0]
+            prev_len = len(acc)
+            acc.extend(e for e in core.edges if e not in members)
+            members.update(core.edges)
+            sink.emit(acc_ts, core.tti[1], acc, prev_len)
     else:
-        st = enumerate_cores_baseline(core_windows, span, sink, deadline=deadline)
-        node_ops, scanned = 0, st.windows_scanned
+        core_times = build_core_times(g, k, span)
+        t1 = time.perf_counter()
+        core_windows = build_core_windows(g, k, span, core_times)
+        t2 = time.perf_counter()
+        if algo == "enum":
+            node_ops = enumerate_cores(core_windows, span, sink).node_ops
+        else:
+            scanned = enumerate_cores_baseline(core_windows, span, sink,
+                                               deadline=deadline).windows_scanned
+        core_times_size, windows_size = core_times.size, core_windows.size
     t3 = time.perf_counter()
-    report = RunReport(algo, k, ts_lo, ts_hi, st.cores, st.result_size,
-                       core_times.size, core_windows.size, node_ops, scanned,
+    report = RunReport(algo, k, ts_lo, ts_hi, sink.cores, sink.result_size,
+                       core_times_size, windows_size, node_ops, scanned,
                        t1 - t0, t2 - t1, t3 - t2, _peak_rss_kb())
     return list(sink.records or ()), report
 

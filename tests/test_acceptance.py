@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from tempcore import (CountSink, FullSink, brute_core_times, brute_enumerate,
+from tempcore import (FullSink, ResultSink, brute_core_times, brute_enumerate,
                       build_core_times, build_core_windows, enumerate_cores,
                       enumerate_cores_baseline, resolve_k, resolve_width,
                       stats)
@@ -86,7 +86,7 @@ def fuzz_corpus():
                 for earlier, later in zip(records, records[1:]):
                     if not set(earlier.edges) < set(later.edges):
                         nested = False
-            counted = CountSink()
+            counted = ResultSink()
             count_stats = enumerate_cores(core_windows, span, counted)
             instances.append(FuzzInstance(
                 seed=seed, k=k, agree=agree, dup_free=dup_free, nested=nested,

@@ -7,8 +7,7 @@ from math import inf
 
 import pytest
 
-from tempcore import (brute_core_times, build_core_times, core_time_at,
-                      temporal_kcore)
+from tempcore import brute_core_times, build_core_times, temporal_kcore
 from tempcore.synth import random_graph
 
 from .conftest import GOLDEN_CORE_TIMES, REJECTED_V3_RUNS, runs_by_label
@@ -45,16 +44,15 @@ class TestGolden:
     def test_k3_all_absent(self, g14):
         index = build_core_times(g14, 3, (1, 7))
         assert all(not runs for runs in index.runs)
-        assert not index.has_any_core()
 
 
 class TestLookup:
     def test_lookup_examples(self, g14, g14_dense):
         index = build_core_times(g14, 2, (1, 7))
-        assert core_time_at(index, g14_dense[1], 2) == 3
-        assert core_time_at(index, g14_dense[1], 3) == 5
-        assert core_time_at(index, g14_dense[1], 7) is None
-        assert core_time_at(index, g14_dense[9], 2) is None
+        assert index.at(g14_dense[1], 2) == 3
+        assert index.at(g14_dense[1], 3) == 5
+        assert index.at(g14_dense[1], 7) is None
+        assert index.at(g14_dense[9], 2) is None
 
     def test_lookup_bounds(self, g14):
         index = build_core_times(g14, 2, (2, 6))

@@ -14,8 +14,8 @@ from tempcore import (EmptyGraphError, ParseError, TemporalGraph,
                       stats)
 
 
-def graph_of(text: str, **kw) -> TemporalGraph:
-    return parse_edge_list(io.StringIO(text), **kw)
+def graph_of(text: str) -> TemporalGraph:
+    return parse_edge_list(io.StringIO(text))
 
 
 class TestParse:
@@ -51,12 +51,9 @@ class TestParse:
         g = graph_of("% header\n# another\n\n1 2 5 0.25 junk\n")
         assert g.m == 1
 
-    def test_directed_and_duplicate_diagnostics(self):
-        g = graph_of("1 2 5\n2 1 5\n1 2 5\n", directed_input=True,
-                     dedupe_exact=False)
+    def test_reversed_and_repeated_triples_collapse(self):
+        g = graph_of("1 2 5\n2 1 5\n1 2 5\n")
         assert g.m == 1
-        assert g.normalized_merges == 1
-        assert list(g.duplicate_counts.values()) == [3]
 
     def test_original_labels_survive(self):
         g = graph_of("700 41 9\n41 900 10\n")

@@ -7,9 +7,11 @@ import random
 
 import pytest
 
-from tempcore import (WorkloadError, gen_queries, parse_edge_list, place_span,
-                      resolve_k, resolve_width, run_query)
+from tempcore import (WorkloadError, format_record, gen_queries,
+                      parse_edge_list, place_span, resolve_k, resolve_width,
+                      run_query)
 from tempcore.cli import main
+from tempcore.synth import random_graph
 from tempcore.verify import run_verification
 
 from .conftest import G14_TEXT
@@ -79,6 +81,21 @@ class TestRunQuery:
             records, report = run_query(g14, 2, (1, 7), algo, "sizes")
             assert report.cores == len(records) == 13
             assert report.result_size == sum(r.size for r in records) == 105
+
+    def test_streams_equal_across_algorithms(self, g14):
+        # every g14 span, plus a seeded slice of the acceptance fuzz corpus
+        cases = [(g14, k, (a, b)) for k in (1, 2)
+                 for a in range(1, 8) for b in range(a, 8)]
+        for seed in range(777_000, 777_040):
+            g = random_graph(random.Random(seed))
+            cases += [(g, k, (1, g.t_count)) for k in (1, 2, 3)]
+        for g, k, span in cases:
+            for mode in ("sizes", "delta", "full"):
+                enum, enumbase, brute = (
+                    [format_record(r, g) for r in run_query(g, k, span, algo, mode)[0]]
+                    for algo in ("enum", "enumbase", "brute"))
+                assert enumbase == enum, (k, span, mode)
+                assert brute == enum, (k, span, mode)
 
     def test_modes_share_counts(self, g14):
         counts = {mode: run_query(g14, 2, (1, 7), "enum", mode)[1].cores
@@ -166,6 +183,14 @@ class TestCliQuery:
         assert main(["query", "--input", g14_file, "--k", "2",
                      "--ts", "1", "--te", "9"]) == 1
         assert "outside" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algo", ["brute", "enumbase"])
+    def test_exhausted_budget_exits_3(self, g14_file, capsys, algo):
+        assert main(["query", "--input", g14_file, "--k", "2", "--ts", "1",
+                     "--te", "7", "--algo", algo, "--budget", "1e-7"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("tempcore: error:")
+        assert len(err.splitlines()) == 1
 
     def test_bad_flag_exits_1(self, g14_file):
         assert main(["query", "--input", g14_file, "--k", "2", "--ts", "1",
