@@ -4,8 +4,9 @@ Given an undirected temporal graph, an integer k, and a time range, this
 package enumerates every distinct k-core appearing in any sub-window of the
 range, each exactly once, in time proportional to the total output size.
 The pipeline builds a per-vertex core-time index, derives each edge's
-minimal core windows from it, and sweeps start times over an end-ordered
-window list. A from-scratch peeling oracle backs every stage for testing.
+minimal core windows from it, and sweeps start times over the live windows
+grouped by end time. A from-scratch peeling oracle backs every stage for
+testing.
 """
 
 from .coretime import CoreTimeIndex, build_core_times
@@ -16,8 +17,8 @@ from .oracle import (BruteEnumeration, CoreSubgraph, brute_core_times,
                      brute_core_windows, brute_enumerate, temporal_kcore,
                      window_cores)
 from .sweep import (BaselineStats, CoreResult, DeltaSink, FullSink, ResultSink,
-                    SizesSink, SweepStats, WindowList, enumerate_cores,
-                    enumerate_cores_baseline, make_sink, scan_start)
+                    SizesSink, SweepStats, enumerate_cores,
+                    enumerate_cores_baseline, make_sink)
 from .windows import (CoreWindowIndex, MinimalCoreWindow, build_core_windows,
                       compute_active_times)
 from .workload import (QuerySpec, RunReport, WorkloadError, format_record,
@@ -31,12 +32,12 @@ __all__ = [
     "CoreSubgraph", "CoreTimeIndex", "CoreWindowIndex", "DeltaSink",
     "EmptyGraphError", "FullSink", "GraphStats", "MinimalCoreWindow",
     "ParseError", "QuerySpec", "ResultSink", "RunReport", "SizesSink",
-    "SweepStats", "TemporalEdge", "TemporalGraph", "TimeDomain", "WindowList",
+    "SweepStats", "TemporalEdge", "TemporalGraph", "TimeDomain",
     "WorkloadError", "brute_core_times", "brute_core_windows",
     "brute_enumerate", "build_core_times", "build_core_windows",
     "canonical_edges", "compress_timestamps", "compute_active_times",
     "enumerate_cores", "enumerate_cores_baseline", "format_record",
     "gen_queries", "make_sink", "parse_edge_list", "place_span", "resolve_k",
-    "resolve_width", "run_query", "scan_start", "static_coreness", "stats",
+    "resolve_width", "run_query", "static_coreness", "stats",
     "temporal_kcore", "window_cores",
 ]

@@ -1,15 +1,14 @@
 """Enumerators for all distinct temporal k-cores of a span.
 
-enumerate_cores walks start times once. Minimal windows live in a doubly
-linked list kept in nondecreasing end order; a window is inserted when the
-start time reaches its active time and unlinked when the start time passes
-its own start, so at any moment each edge contributes at most one window.
-For a start time at which some window actually starts, one scan of the list
-emits every distinct core whose tightest interval begins there: edges
-accumulate in end order, output begins once a window starting exactly at
-the current start has been seen, and an emission happens at the last window
-of each equal-end run. Distinctness needs no bookkeeping because tightest
-intervals are unique per core.
+enumerate_cores walks start times once. The live minimal windows are held
+in groups keyed by end time; a window joins its group when the start time
+reaches its active time and leaves it when the start time passes its own
+start, so at any moment each edge contributes at most one window. For a
+start time at which some window actually starts, one scan emits every
+distinct core whose tightest interval begins there: the groups are
+accumulated in end order, and each group from the smallest end of a window
+starting exactly there onward is one emission. Distinctness needs no
+bookkeeping because tightest intervals are unique per core.
 
 enumerate_cores_baseline is the quadratic reference: for every start time
 it buckets each edge's first window starting no earlier and forms cores
@@ -26,7 +25,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .graph import BudgetExceeded, TemporalEdge, canonical_edges
-from .windows import CoreWindowIndex
+from .windows import CoreWindowIndex, MinimalCoreWindow
 
 
 @dataclass(frozen=True)
@@ -104,73 +103,6 @@ def make_sink(mode: str) -> ResultSink:
         raise ValueError(f"unknown sink mode {mode!r}") from None
 
 
-class _Node:
-    __slots__ = ("window", "prev", "next")
-
-    def __init__(self, window) -> None:
-        self.window = window
-        self.prev = None
-        self.next = None
-
-
-class WindowList:
-    """Doubly linked list of minimal windows with a dummy head."""
-
-    __slots__ = ("head", "live")
-
-    def __init__(self) -> None:
-        self.head = _Node(None)
-        self.live = 0
-
-    def insert_after(self, a: _Node, node: _Node) -> None:
-        b = a.next
-        node.next = b
-        node.prev = a
-        a.next = node
-        if b is not None:
-            b.prev = node
-        self.live += 1
-
-    def delete(self, node: _Node) -> None:
-        node.prev.next = node.next
-        if node.next is not None:
-            node.next.prev = node.prev
-        node.prev = node.next = None
-        self.live -= 1
-
-    def windows(self):
-        node = self.head.next
-        while node is not None:
-            yield node.window
-            node = node.next
-
-
-def scan_start(wlist: WindowList, ts: int, sink: ResultSink) -> tuple[int, int, int]:
-    """Emit every core whose tightest interval starts at ts.
-
-    Returns (emissions, nodes visited, final accumulator length).
-    """
-    node = wlist.head.next
-    acc: list[TemporalEdge] = []
-    valid = False
-    prev_len = 0
-    visits = 0
-    emitted = 0
-    while node is not None:
-        visits += 1
-        w = node.window
-        acc.append(w.edge)
-        if w.start == ts:
-            valid = True
-        nxt = node.next
-        if valid and (nxt is None or w.end != nxt.window.end):
-            sink.emit(ts, w.end, acc, prev_len)
-            prev_len = len(acc)
-            emitted += 1
-        node = nxt
-    return emitted, visits, len(acc)
-
-
 @dataclass(frozen=True)
 class SweepStats:
     cores: int
@@ -184,54 +116,58 @@ def enumerate_cores(index: CoreWindowIndex, span: tuple[int, int],
                     sink: ResultSink, _on_step=None) -> SweepStats:
     """Sweep all start times of the span, emitting each distinct core once.
 
-    node_ops counts every linked-list node visit (deletions, insertions,
-    merge-cursor steps and scan visits); peak_live and peak_state track live
-    nodes and live nodes plus accumulator for the memory contract.
+    node_ops counts window insertions, window deletions and end groups
+    visited by the scans; peak_live and peak_state track live windows and
+    live windows plus accumulator for the memory contract.
     """
     ts_lo, ts_hi = span
     if index.span != (ts_lo, ts_hi):
         raise ValueError("window index was built for a different span")
-    order = sorted(index.all_windows(), key=lambda w: w.end)
-    by_active: dict[int, list[_Node]] = {}
-    by_start: dict[int, list[_Node]] = {}
-    for w in order:
+    by_active: dict[int, list[MinimalCoreWindow]] = {}
+    by_start: dict[int, list[MinimalCoreWindow]] = {}
+    for w in index.all_windows():
         if w.active is None:
             raise ValueError("window index is missing active times")
-        node = _Node(w)
-        by_active.setdefault(w.active, []).append(node)
-        by_start.setdefault(w.start, []).append(node)
-    wlist = WindowList()
+        by_active.setdefault(w.active, []).append(w)
+        by_start.setdefault(w.start, []).append(w)
+    live: dict[int, dict[TemporalEdge, MinimalCoreWindow]] = {}
+    n_live = 0
     ops = 0
     cores = 0
     peak_live = 0
     peak_state = 0
     size0 = sink.result_size
     for t in range(ts_lo, ts_hi + 1):
-        if t > ts_lo:
-            for node in by_start.get(t - 1, ()):
-                wlist.delete(node)
-                ops += 1
-        h = wlist.head
-        for node in by_active.get(t, ()):
-            w_end = node.window.end
-            while h.next is not None and h.next.window.end < w_end:
-                h = h.next
-                ops += 1
-            wlist.insert_after(h, node)
-            ops += 1
-            h = node
-        if wlist.live > peak_live:
-            peak_live = wlist.live
+        expired = by_start.get(t - 1, ())
+        for w in expired:
+            group = live[w.end]
+            del group[w.edge]
+            if not group:
+                del live[w.end]
+        added = by_active.get(t, ())
+        for w in added:
+            live.setdefault(w.end, {})[w.edge] = w
+        n_live += len(added) - len(expired)
+        ops += len(added) + len(expired)
+        if n_live > peak_live:
+            peak_live = n_live
         if _on_step is not None:
-            _on_step(t, list(wlist.windows()))
-        if not by_start.get(t):
+            _on_step(t, [w for te in sorted(live) for w in live[te].values()])
+        starting = by_start.get(t)
+        if not starting:
             continue
-        emitted, visits, acc_len = scan_start(wlist, t, sink)
-        ops += visits
-        cores += emitted
-        state = wlist.live + acc_len
-        if state > peak_state:
-            peak_state = state
+        first = min(w.end for w in starting)
+        acc: list[TemporalEdge] = []
+        prev_len = 0
+        for te in sorted(live):
+            ops += 1
+            acc.extend(live[te])
+            if te >= first:
+                sink.emit(t, te, acc, prev_len)
+                prev_len = len(acc)
+                cores += 1
+        if n_live + len(acc) > peak_state:
+            peak_state = n_live + len(acc)
     return SweepStats(cores, ops, sink.result_size - size0, peak_live, peak_state)
 
 
@@ -265,16 +201,18 @@ def enumerate_cores_baseline(index: CoreWindowIndex, span: tuple[int, int],
                 buckets.setdefault(wins[i].end, []).append(e)
         acc: list[TemporalEdge] = []
         prev_len = 0
+        t_min, t_max = ts_hi + 1, ts
         for te in range(ts, ts_hi + 1):
             scanned += 1
             bucket = buckets.get(te)
             if not bucket:
                 continue
             acc.extend(bucket)
-            canonical = canonical_edges(acc)
-            if canonical[0].t != ts:
+            t_min = min(t_min, min(e.t for e in bucket))
+            t_max = max(t_max, max(e.t for e in bucket))
+            if t_min != ts:
                 continue
-            sink.emit(ts, canonical[-1].t, acc, prev_len)
+            sink.emit(ts, t_max, acc, prev_len)
             prev_len = len(acc)
             cores += 1
     return BaselineStats(cores, scanned, sink.result_size - size0)

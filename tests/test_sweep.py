@@ -1,4 +1,4 @@
-"""The output-sized sweep, the window-list scan, and the baseline."""
+"""The output-sized sweep, its scan of one start time, and the baseline."""
 
 from __future__ import annotations
 
@@ -6,11 +6,9 @@ import random
 
 import pytest
 
-from tempcore import (FullSink, SizesSink, TemporalEdge, WindowList,
-                      brute_enumerate, build_core_times, build_core_windows,
-                      enumerate_cores, enumerate_cores_baseline, make_sink,
-                      scan_start)
-from tempcore.sweep import _Node
+from tempcore import (FullSink, SizesSink, TemporalEdge, brute_enumerate,
+                      build_core_times, build_core_windows, enumerate_cores,
+                      enumerate_cores_baseline, make_sink)
 from tempcore.synth import random_graph
 from tempcore.windows import CoreWindowIndex, MinimalCoreWindow
 
@@ -25,15 +23,14 @@ def result_map(records):
     return {rec.edges: (rec.ts, rec.te) for rec in records}
 
 
-def hand_list(windows):
-    """A WindowList assembled directly from (edge, start, end) windows."""
-    wlist = WindowList()
-    node_after = wlist.head
+def hand_index(span, windows):
+    """A window index assembled directly from (edge, start, end) windows,
+    one per edge, each active from the span start."""
+    by_edge = {}
     for edge, start, end in windows:
-        node = _Node(MinimalCoreWindow(TemporalEdge(*edge), start, end, active=1))
-        wlist.insert_after(node_after, node)
-        node_after = node
-    return wlist
+        e = TemporalEdge(*edge)
+        by_edge[e] = [MinimalCoreWindow(e, start, end, active=span[0])]
+    return CoreWindowIndex(2, span, by_edge, len(by_edge))
 
 
 class TestScanStart:
@@ -47,27 +44,28 @@ class TestScanStart:
 
     def test_empty_list_emits_nothing(self):
         sink = FullSink()
-        emitted, visits, acc = scan_start(WindowList(), 3, sink)
-        assert (emitted, visits, acc) == (0, 0, 0)
+        st = enumerate_cores(hand_index((1, 3), []), (1, 3), sink)
+        assert (st.cores, st.node_ops, st.result_size) == (0, 0, 0)
         assert sink.records == []
 
     def test_prefix_windows_without_start_do_not_emit(self):
-        # ends 3,3 start later than ts; end-5 run carries the only emission
-        wlist = hand_list([((0, 1, 2), 2, 3), ((0, 2, 2), 2, 3),
-                           ((1, 2, 1), 1, 5)])
+        # ends 3,3 start later than ts=1; the end-5 group is its only emission
+        cwi = hand_index((1, 5), [((0, 1, 2), 2, 3), ((0, 2, 2), 2, 3),
+                                  ((1, 2, 1), 1, 5)])
         sink = SizesSink()
-        emitted, visits, acc = scan_start(wlist, 1, sink)
-        assert emitted == 1
-        assert visits == 3
-        assert [(r.ts, r.te, r.size) for r in sink.records] == [(1, 5, 3)]
+        enumerate_cores(cwi, (1, 5), sink)
+        assert [(r.ts, r.te, r.size) for r in sink.records if r.ts == 1] == \
+            [(1, 5, 3)]
 
     def test_single_equal_end_run(self):
-        wlist = hand_list([((0, 1, 1), 1, 4), ((0, 2, 1), 1, 4),
-                           ((1, 2, 1), 1, 4)])
+        cwi = hand_index((1, 4), [((0, 1, 1), 1, 4), ((0, 2, 1), 1, 4),
+                                  ((1, 2, 1), 1, 4)])
         sink = SizesSink()
-        emitted, _, _ = scan_start(wlist, 1, sink)
-        assert emitted == 1
+        st = enumerate_cores(cwi, (1, 4), sink)
+        assert st.cores == 1
         assert sink.records[0].size == 3
+        # 3 insertions, 1 end group scanned at ts=1, 3 deletions at t=2
+        assert st.node_ops == 7
 
 
 class TestEnumerate:
