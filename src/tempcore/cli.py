@@ -3,7 +3,9 @@
 Subcommands: stats, query, gen, verify, bench. Exit codes: 0 success,
 1 usage or parse failure, 2 verification mismatch, 3 budget exhausted (a
 query past --budget, or every bench cell timed out). Result streams go to
-stdout (or --out); run reports and diagnostics go to stderr.
+stdout (or --out); run reports and diagnostics go to stderr. query writes
+each sizes/delta/full line as its core is emitted, so a query stopped by
+--budget leaves the lines written so far, ending at a line boundary.
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ import time
 from .graph import (BudgetExceeded, EmptyGraphError, ParseError, TemporalGraph,
                     parse_edge_list, stats)
 from .verify import run_verification
+# format_record is unused here; perfbench's traced pass wraps cli.format_record
 from .workload import (ALGORITHMS, MODES, RunReport, WorkloadError, format_record,
-                       gen_queries, place_span, resolve_k, resolve_width, run_query)
+                       gen_queries, place_span, resolve_k, resolve_width, run_query,
+                       validate_query)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,15 +78,15 @@ def _cmd_query(args) -> int:
     g = _load(args.input)
     k = _resolve_k(g, args)
     span = _resolve_span(g, k, args)
+    # --out is opened only once the query is known to be valid
+    validate_query(g, k, span, args.algo, args.mode)
     deadline = time.perf_counter() + args.budget if args.budget else None
-    records, report = run_query(g, k, span, args.algo, args.mode, deadline=deadline)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
+        _, report = run_query(g, k, span, args.algo, args.mode, deadline=deadline,
+                              out=out)
         if args.mode == "count":
             print(f"cores={report.cores} |R|={report.result_size}", file=out)
-        else:
-            for rec in records:
-                print(format_record(rec, g), file=out)
     finally:
         if out is not sys.stdout:
             out.close()
@@ -202,8 +206,9 @@ def _build_parser() -> _Parser:
     p_query.add_argument("--mode", choices=MODES, default="count")
     p_query.add_argument("--seed", type=int, default=0)
     p_query.add_argument("--budget", type=float, default=0.0,
-                         help="abort past this many seconds (0 = unlimited); "
-                              "bounds only enumbase and brute")
+                         help="abort past this many seconds (0 = unlimited) "
+                              "with exit 3; lines already written stay, "
+                              "ending at a line boundary")
     p_query.add_argument("--out")
 
     p_gen = sub.add_parser("gen", help="generate a seeded query workload")

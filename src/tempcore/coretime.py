@@ -18,11 +18,12 @@ so only vertices reachable from expired edges are ever touched.
 
 from __future__ import annotations
 
+import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import inf
 
-from .graph import TemporalGraph, WindowPeel
+from .graph import BudgetExceeded, TemporalGraph, WindowPeel
 
 Runs = tuple[tuple[int, int | None], ...]
 
@@ -59,8 +60,12 @@ class CoreTimeIndex:
         return "\n".join(lines)
 
 
-def build_core_times(g: TemporalGraph, k: int, span: tuple[int, int]) -> CoreTimeIndex:
-    """Core-time runs of every vertex for one (k, span) query."""
+def build_core_times(g: TemporalGraph, k: int, span: tuple[int, int],
+                     deadline: float | None = None) -> CoreTimeIndex:
+    """Core-time runs of every vertex for one (k, span) query.
+
+    A deadline (a time.perf_counter value) is checked once per start time.
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
     ts_lo, ts_hi = span
@@ -81,13 +86,23 @@ def build_core_times(g: TemporalGraph, k: int, span: tuple[int, int]) -> CoreTim
             cached = adj_cache[v] = a[i:j]
         return cached
 
+    def check_deadline(ts: int) -> None:
+        if deadline is not None and time.perf_counter() > deadline:
+            raise BudgetExceeded(f"core times exceeded their deadline at start {ts}")
+
+    check_deadline(ts_lo)
     ct: list = _initial_core_times(g, k, span)
-    runs: list[list[tuple[int, int | None]]] = [[] for _ in range(n)]
+    # only vertices in some core get a run list: one list per vertex of a
+    # large graph would make the collector walk the whole heap. Each list
+    # starts empty and grows by append, which sizes it for later runs.
+    runs: list[list[tuple[int, int | None]] | None] = [None] * n
     for v in range(n):
         if ct[v] is not inf:
+            runs[v] = []
             runs[v].append((ts_lo, ct[v]))
 
     for ts in range(ts_lo + 1, ts_hi + 1):
+        check_deadline(ts)
         pending: list[int] = []
         in_pending: set[int] = set()
         for u, v, _ in g.edges_at[ts - 1]:
@@ -114,7 +129,7 @@ def build_core_times(g: TemporalGraph, k: int, span: tuple[int, int]) -> CoreTim
         for x in changed:
             runs[x].append((ts, None if ct[x] is inf else ct[x]))
 
-    runs_t = tuple(tuple(r) for r in runs)
+    runs_t = tuple(() if r is None else tuple(r) for r in runs)
     return CoreTimeIndex(k, (ts_lo, ts_hi), runs_t, sum(map(len, runs_t)))
 
 

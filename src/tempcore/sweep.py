@@ -21,10 +21,10 @@ seen and emits in (ts, te) order.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .graph import BudgetExceeded, TemporalEdge, canonical_edges
+from .graph import BudgetExceeded, TemporalEdge
 from .windows import CoreWindowIndex, MinimalCoreWindow
 
 
@@ -42,7 +42,8 @@ class ResultSink:
     Every enumerator (the sweep, the baseline, and run_query for brute)
     calls emit in (ts, te) ascending order with a strictly growing
     accumulator per ts; prev_len marks the accumulator length at the
-    previous emission of the same start time. Used as is, it counts.
+    previous emission of the same start time, so it is 0 exactly at the
+    first emission of a start time. Used as is, it counts.
     """
 
     mode = "count"
@@ -82,15 +83,33 @@ class DeltaSink(ResultSink):
 
 
 class FullSink(ResultSink):
+    """Records each core's edges sorted by (t, u, v).
+
+    The current start time's edges are kept as a sorted run, so an emission
+    inserts only its new edges instead of sorting the whole accumulator.
+    """
+
     mode = "full"
 
     def __init__(self) -> None:
         super().__init__()
         self.records = []
+        self._keys: list[tuple[int, int, int]] = []
+        self._run: list[TemporalEdge] = []
 
     def emit(self, ts, te, acc, prev_len):
         super().emit(ts, te, acc, prev_len)
-        self.records.append(CoreResult(ts, te, len(acc), canonical_edges(acc)))
+        keys, run = self._keys, self._run
+        if prev_len == 0:
+            keys.clear()
+            run.clear()
+        for e in acc[prev_len:]:
+            u, v, t = e
+            key = (t, u, v)
+            i = bisect_right(keys, key)
+            keys.insert(i, key)
+            run.insert(i, e)
+        self.records.append(CoreResult(ts, te, len(acc), tuple(run)))
 
 
 _SINKS = {"count": ResultSink, "sizes": SizesSink, "delta": DeltaSink, "full": FullSink}
@@ -113,12 +132,14 @@ class SweepStats:
 
 
 def enumerate_cores(index: CoreWindowIndex, span: tuple[int, int],
-                    sink: ResultSink, _on_step=None) -> SweepStats:
+                    sink: ResultSink, _on_step=None,
+                    deadline: float | None = None) -> SweepStats:
     """Sweep all start times of the span, emitting each distinct core once.
 
     node_ops counts window insertions, window deletions and end groups
     visited by the scans; peak_live and peak_state track live windows and
-    live windows plus accumulator for the memory contract.
+    live windows plus accumulator for the memory contract. A deadline
+    (a time.perf_counter value) is checked once per start time.
     """
     ts_lo, ts_hi = span
     if index.span != (ts_lo, ts_hi):
@@ -138,6 +159,8 @@ def enumerate_cores(index: CoreWindowIndex, span: tuple[int, int],
     peak_state = 0
     size0 = sink.result_size
     for t in range(ts_lo, ts_hi + 1):
+        if deadline is not None and time.perf_counter() > deadline:
+            raise BudgetExceeded(f"sweep exceeded its deadline at start {t}")
         expired = by_start.get(t - 1, ())
         for w in expired:
             group = live[w.end]

@@ -6,13 +6,15 @@ from __future__ import annotations
 import random
 import resource
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
+from typing import TextIO
 
 from .coretime import build_core_times
 from .graph import TemporalEdge, TemporalGraph, stats
 from .oracle import brute_enumerate, temporal_kcore
-from .sweep import (CoreResult, enumerate_cores, enumerate_cores_baseline,
-                    make_sink)
+from .sweep import (CoreResult, ResultSink, enumerate_cores,
+                    enumerate_cores_baseline, make_sink)
 from .windows import build_core_windows
 
 ALGORITHMS = ("enum", "enumbase", "brute")
@@ -137,13 +139,9 @@ def _peak_rss_kb() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
-def run_query(g: TemporalGraph, k: int, span: tuple[int, int], algo: str = "enum",
-              mode: str = "count",
-              deadline: float | None = None) -> tuple[list[CoreResult], RunReport]:
-    """Run one query end to end and report per-phase timings.
-
-    In count mode the record list is empty; counts live in the report.
-    """
+def validate_query(g: TemporalGraph, k: int, span: tuple[int, int],
+                   algo: str = "enum", mode: str = "count") -> None:
+    """Raise ValueError unless run_query accepts these arguments."""
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}")
     if mode not in MODES:
@@ -154,7 +152,22 @@ def run_query(g: TemporalGraph, k: int, span: tuple[int, int], algo: str = "enum
     if not 1 <= ts_lo <= ts_hi <= g.t_count:
         raise ValueError(f"span [{ts_lo},{ts_hi}] outside 1..{g.t_count}")
 
-    sink = make_sink(mode)
+
+def run_query(g: TemporalGraph, k: int, span: tuple[int, int], algo: str = "enum",
+              mode: str = "count", deadline: float | None = None,
+              out: TextIO | None = None) -> tuple[list[CoreResult], RunReport]:
+    """Run one query end to end and report per-phase timings.
+
+    In count mode the record list is empty; counts live in the report. Given
+    out, the other modes write each core's format_record line to it as the
+    core is emitted and return no records. Past the deadline (a
+    time.perf_counter value) every algorithm raises BudgetExceeded, leaving
+    out with the lines written so far.
+    """
+    validate_query(g, k, span, algo, mode)
+    ts_lo, ts_hi = span
+    sink = StreamSink(g, mode, out) if out is not None and mode != "count" \
+        else make_sink(mode)
     core_times_size = windows_size = node_ops = scanned = 0
     t0 = t1 = t2 = time.perf_counter()
     if algo == "brute":
@@ -173,12 +186,13 @@ def run_query(g: TemporalGraph, k: int, span: tuple[int, int], algo: str = "enum
             members.update(core.edges)
             sink.emit(acc_ts, core.tti[1], acc, prev_len)
     else:
-        core_times = build_core_times(g, k, span)
+        core_times = build_core_times(g, k, span, deadline=deadline)
         t1 = time.perf_counter()
         core_windows = build_core_windows(g, k, span, core_times)
         t2 = time.perf_counter()
         if algo == "enum":
-            node_ops = enumerate_cores(core_windows, span, sink).node_ops
+            node_ops = enumerate_cores(core_windows, span, sink,
+                                       deadline=deadline).node_ops
         else:
             scanned = enumerate_cores_baseline(core_windows, span, sink,
                                                deadline=deadline).windows_scanned
@@ -190,6 +204,33 @@ def run_query(g: TemporalGraph, k: int, span: tuple[int, int], algo: str = "enum
     return list(sink.records or ()), report
 
 
+def _edge_texts(g: TemporalGraph):
+    """A memoised edge -> ((t, lo, hi), "[lo,hi,raw_t]") map for result lines.
+
+    lo and hi are the endpoints' original ids, smaller first. Ranks order
+    like raw timestamps, so sorting by the key sorts by (raw t, lo, hi).
+    """
+    labels, raw_values = g.labels, g.time_domain.raw_values
+    memo: dict[TemporalEdge, tuple[tuple[int, int, int], str]] = {}
+
+    def item(e: TemporalEdge) -> tuple[tuple[int, int, int], str]:
+        found = memo.get(e)
+        if found is None:
+            u, v, t = e
+            lo, hi = labels[u], labels[v]
+            if hi < lo:
+                lo, hi = hi, lo
+            found = memo[e] = ((t, lo, hi), f"[{lo},{hi},{raw_values[t - 1]}]")
+        return found
+
+    return item
+
+
+def _head(g: TemporalGraph, ts: int, te: int, size: int) -> str:
+    raw = g.time_domain.raw
+    return f"tti_ts={raw(ts)} tti_te={raw(te)} size={size}"
+
+
 def format_record(rec: CoreResult, g: TemporalGraph) -> str:
     """One result line: tti fields, size, and optionally the edge triples.
 
@@ -197,11 +238,45 @@ def format_record(rec: CoreResult, g: TemporalGraph) -> str:
     edge triples are printed sorted by (t, u, v) of those values with the
     smaller endpoint first, so equal streams diff clean.
     """
-    raw = g.time_domain.raw
-    parts = [f"tti_ts={raw(rec.ts)}", f"tti_te={raw(rec.te)}", f"size={rec.size}"]
-    if rec.edges is not None:
-        labels = g.labels
-        triples = sorted((raw(t), *sorted((labels[u], labels[v])))
-                         for u, v, t in rec.edges)
-        parts.append("edges=" + "".join(f"[{u},{v},{t}]" for t, u, v in triples))
-    return " ".join(parts)
+    head = _head(g, rec.ts, rec.te, rec.size)
+    if rec.edges is None:
+        return head
+    items = sorted(map(_edge_texts(g), rec.edges))
+    return head + " edges=" + "".join(text for _, text in items)
+
+
+class StreamSink(ResultSink):
+    """Writes each core's format_record line as it is emitted; keeps no record.
+
+    In full mode the current start time's edges are kept as one sorted run
+    of (key, text) pairs, so an emission inserts only its new edges; in
+    delta mode only the new edges are sorted.
+    """
+
+    def __init__(self, g: TemporalGraph, mode: str, out: TextIO) -> None:
+        super().__init__()
+        self.mode = mode
+        self._g = g
+        self._out = out
+        self._item = _edge_texts(g)
+        self._keys: list[tuple[int, int, int]] = []
+        self._parts: list[str] = []
+
+    def emit(self, ts, te, acc, prev_len):
+        super().emit(ts, te, acc, prev_len)
+        line = _head(self._g, ts, te, len(acc))
+        if self.mode == "full":
+            keys, parts, item = self._keys, self._parts, self._item
+            if prev_len == 0:
+                keys.clear()
+                parts.clear()
+            for e in acc[prev_len:]:
+                key, text = item(e)
+                i = bisect_right(keys, key)
+                keys.insert(i, key)
+                parts.insert(i, text)
+            line += " edges=" + "".join(parts)
+        elif self.mode == "delta":
+            items = sorted(map(self._item, acc[prev_len:]))
+            line += " edges=" + "".join(text for _, text in items)
+        self._out.write(line + "\n")

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+import time
 from math import inf
 
 import pytest
 
-from tempcore import brute_core_times, build_core_times, temporal_kcore
+from tempcore import (BudgetExceeded, brute_core_times, build_core_times,
+                      temporal_kcore)
 from tempcore.synth import random_graph
 
 from .conftest import GOLDEN_CORE_TIMES, REJECTED_V3_RUNS, runs_by_label
@@ -44,6 +46,13 @@ class TestGolden:
     def test_k3_all_absent(self, g14):
         index = build_core_times(g14, 3, (1, 7))
         assert all(not runs for runs in index.runs)
+
+
+class TestDeadline:
+    @pytest.mark.parametrize("span", [(1, 7), (4, 4)])
+    def test_past_deadline_raises(self, g14, span):
+        with pytest.raises(BudgetExceeded):
+            build_core_times(g14, 2, span, deadline=time.perf_counter() - 1)
 
 
 class TestLookup:

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
-from tempcore import (FullSink, SizesSink, TemporalEdge, brute_enumerate,
-                      build_core_times, build_core_windows, enumerate_cores,
-                      enumerate_cores_baseline, make_sink)
+from tempcore import (BudgetExceeded, FullSink, SizesSink, TemporalEdge,
+                      brute_enumerate, build_core_times, build_core_windows,
+                      enumerate_cores, enumerate_cores_baseline, make_sink)
 from tempcore.synth import random_graph
 from tempcore.windows import CoreWindowIndex, MinimalCoreWindow
 
@@ -102,6 +103,12 @@ class TestEnumerate:
         cwi = windows_index(g14, 2, (1, 7))
         with pytest.raises(ValueError):
             enumerate_cores(cwi, (1, 6), FullSink())
+
+    def test_past_deadline_raises(self, g14):
+        cwi = windows_index(g14, 2, (1, 7))
+        with pytest.raises(BudgetExceeded):
+            enumerate_cores(cwi, (1, 7), FullSink(),
+                            deadline=time.perf_counter() - 1)
 
     def test_missing_actives_rejected(self, g14):
         cwi = windows_index(g14, 2, (1, 7))

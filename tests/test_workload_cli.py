@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import random
+import tracemalloc
 
 import pytest
 
@@ -11,7 +12,7 @@ from tempcore import (WorkloadError, format_record, gen_queries,
                       parse_edge_list, place_span, resolve_k, resolve_width,
                       run_query)
 from tempcore.cli import main
-from tempcore.synth import random_graph
+from tempcore.synth import burst_graph, random_graph
 from tempcore.verify import run_verification
 
 from .conftest import G14_TEXT
@@ -75,6 +76,17 @@ class TestGenQueries:
         assert first == second
 
 
+class _CountingWriter:
+    """A text stream that keeps only the number of characters written."""
+
+    def __init__(self) -> None:
+        self.chars = 0
+
+    def write(self, text: str) -> int:
+        self.chars += len(text)
+        return len(text)
+
+
 class TestRunQuery:
     def test_report_arithmetic(self, g14):
         for algo in ("enum", "enumbase", "brute"):
@@ -91,11 +103,32 @@ class TestRunQuery:
             cases += [(g, k, (1, g.t_count)) for k in (1, 2, 3)]
         for g, k, span in cases:
             for mode in ("sizes", "delta", "full"):
-                enum, enumbase, brute = (
-                    [format_record(r, g) for r in run_query(g, k, span, algo, mode)[0]]
-                    for algo in ("enum", "enumbase", "brute"))
-                assert enumbase == enum, (k, span, mode)
-                assert brute == enum, (k, span, mode)
+                streams = {}
+                for algo in ("enum", "enumbase", "brute"):
+                    lines = [format_record(r, g)
+                             for r in run_query(g, k, span, algo, mode)[0]]
+                    # the streamed lines are the lines of the records
+                    out = io.StringIO()
+                    assert run_query(g, k, span, algo, mode, out=out)[0] == []
+                    assert out.getvalue() == "".join(l + "\n" for l in lines), \
+                        (algo, k, span, mode)
+                    streams[algo] = lines
+                assert streams["enumbase"] == streams["enum"], (k, span, mode)
+                assert streams["brute"] == streams["enum"], (k, span, mode)
+
+    def test_full_stream_state_stays_below_output(self):
+        # 6.5M characters written; holding the records would take more
+        # than a third of that in traced bytes
+        g = burst_graph(5, timestamps=2000, clique=10, target_edges=12000)
+        out = _CountingWriter()
+        tracemalloc.start()
+        try:
+            records, report = run_query(g, 4, (1, 1000), "enum", "full", out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert records == [] and report.cores > 0
+        assert peak < out.chars / 3, (peak, out.chars)
 
     def test_modes_share_counts(self, g14):
         counts = {mode: run_query(g14, 2, (1, 7), "enum", mode)[1].cores
@@ -184,7 +217,7 @@ class TestCliQuery:
                      "--ts", "1", "--te", "9"]) == 1
         assert "outside" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("algo", ["brute", "enumbase"])
+    @pytest.mark.parametrize("algo", ["enum", "brute", "enumbase"])
     def test_exhausted_budget_exits_3(self, g14_file, capsys, algo):
         assert main(["query", "--input", g14_file, "--k", "2", "--ts", "1",
                      "--te", "7", "--algo", algo, "--budget", "1e-7"]) == 3
@@ -202,6 +235,15 @@ class TestCliQuery:
                      "--te", "4", "--mode", "sizes", "--out", str(out)]) == 0
         assert out.read_text().splitlines() == [
             "tti_ts=1 tti_te=4 size=6", "tti_ts=2 tti_te=3 size=3"]
+
+    def test_invalid_range_leaves_out_file_untouched(self, g14_file, tmp_path,
+                                                     capsys):
+        out = tmp_path / "results.txt"
+        out.write_text("earlier results\n")
+        assert main(["query", "--input", g14_file, "--k", "2", "--ts", "1",
+                     "--te", "9", "--mode", "full", "--out", str(out)]) == 1
+        assert "outside" in capsys.readouterr().err
+        assert out.read_text() == "earlier results\n"
 
 
 class TestCliGen:
