@@ -36,3 +36,12 @@ edge = next(e for e, wins in windows.by_edge.items() if len(wins) > 1)
 print(f"\nwindows of ({g.labels[edge.u]},{g.labels[edge.v]},{edge.t}):")
 for w in windows.for_edge(edge):
     print(f"  [{w.start},{w.end}] live for start times {w.active}..{w.start}")
+
+# the index itself holds no window objects: four flat columns with one
+# entry per window, in edge order and then by start. The views printed
+# above are made from them on demand.
+print("\nthe first five windows as the enumerator reads them:")
+for i in range(5):
+    e = windows.edge[i]
+    print(f"  window {i}: edge ({g.labels[e.u]},{g.labels[e.v]},{e.t}) "
+          f"start={windows.start[i]} end={windows.end[i]} active={windows.active[i]}")

@@ -137,12 +137,13 @@ class TemporalGraph:
         n = len(labels)
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         edges_at: list[list[TemporalEdge]] = [[] for _ in range(domain.t_count + 1)]
+        # appending in (t, u, v) edge order leaves each adjacency sorted:
+        # at one t, x's neighbours u < x come from edges (u, x), ordered
+        # by u, before its neighbours v > x from edges (x, v)
         for e in edges:
             adj[e.u].append((e.t, e.v))
             adj[e.v].append((e.t, e.u))
             edges_at[e.t].append(e)
-        for lst in adj:
-            lst.sort()
         return cls(n, edges, adj, edges_at, domain, labels)
 
     def neighbors_in(self, u: int, lo: int, hi: int) -> list[tuple[int, int]]:

@@ -186,19 +186,18 @@ def brute_core_windows(g: TemporalGraph, k: int, span: tuple[int, int]) -> CoreW
     member_sets = {w: (frozenset(c.edges) if c is not None else frozenset())
                    for w, c in wc.items()}
     by_edge: dict[TemporalEdge, list[MinimalCoreWindow]] = {}
-    total = 0
     for e in g.edges:
+        if not ts_lo <= e.t <= ts_hi:
+            continue
         wins: list[MinimalCoreWindow] = []
-        if ts_lo <= e.t <= ts_hi:
-            for a in range(ts_lo, e.t + 1):
-                for b in range(e.t, ts_hi + 1):
-                    if e not in member_sets[(a, b)]:
-                        continue
-                    if a + 1 <= b and e in member_sets[(a + 1, b)]:
-                        continue
-                    if b - 1 >= a and e in member_sets[(a, b - 1)]:
-                        continue
-                    wins.append(MinimalCoreWindow(e, a, b))
+        for a in range(ts_lo, e.t + 1):
+            for b in range(e.t, ts_hi + 1):
+                if e not in member_sets[(a, b)]:
+                    continue
+                if a + 1 <= b and e in member_sets[(a + 1, b)]:
+                    continue
+                if b - 1 >= a and e in member_sets[(a, b - 1)]:
+                    continue
+                wins.append(MinimalCoreWindow(e, a, b))
         by_edge[e] = wins
-        total += len(wins)
-    return compute_active_times(CoreWindowIndex(k, (ts_lo, ts_hi), by_edge, total))
+    return compute_active_times(CoreWindowIndex.from_windows(k, span, by_edge))

@@ -1,14 +1,18 @@
 """Enumerators for all distinct temporal k-cores of a span.
 
+Both read the window index's flat columns (edge, start, end, active; 20
+bytes per window, see windows) by window id and make no window objects.
+
 enumerate_cores walks start times once. The live minimal windows are held
-in groups keyed by end time; a window joins its group when the start time
-reaches its active time and leaves it when the start time passes its own
-start, so at any moment each edge contributes at most one window. For a
-start time at which some window actually starts, one scan emits every
-distinct core whose tightest interval begins there: the groups are
-accumulated in end order, and each group from the smallest end of a window
-starting exactly there onward is one emission. Distinctness needs no
-bookkeeping because tightest intervals are unique per core.
+in groups keyed by end time, each group mapping an edge to its window id;
+a window joins its group when the start time reaches its active time and
+leaves it when the start time passes its own start, so at any moment each
+edge contributes at most one window. For a start time at which some
+window actually starts, one scan emits every distinct core whose tightest
+interval begins there: the groups are accumulated in end order, and each
+group from the smallest end of a window starting exactly there onward is
+one emission. Distinctness needs no bookkeeping because tightest intervals
+are unique per core.
 
 enumerate_cores_baseline is the quadratic reference: for every start time
 it buckets each edge's first window starting no earlier and forms cores
@@ -25,7 +29,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .graph import BudgetExceeded, TemporalEdge
-from .windows import CoreWindowIndex, MinimalCoreWindow
+from .windows import CoreWindowIndex
 
 
 @dataclass(frozen=True)
@@ -144,14 +148,16 @@ def enumerate_cores(index: CoreWindowIndex, span: tuple[int, int],
     ts_lo, ts_hi = span
     if index.span != (ts_lo, ts_hi):
         raise ValueError("window index was built for a different span")
-    by_active: dict[int, list[MinimalCoreWindow]] = {}
-    by_start: dict[int, list[MinimalCoreWindow]] = {}
-    for w in index.all_windows():
-        if w.active is None:
-            raise ValueError("window index is missing active times")
-        by_active.setdefault(w.active, []).append(w)
-        by_start.setdefault(w.start, []).append(w)
-    live: dict[int, dict[TemporalEdge, MinimalCoreWindow]] = {}
+    edge, start, end, active = index.edge, index.start, index.end, index.active
+    if active is None:
+        raise ValueError("window index is missing active times")
+    # window ids by active time and by start time
+    by_active: dict[int, list[int]] = {}
+    by_start: dict[int, list[int]] = {}
+    for i, a, s in zip(range(len(start)), active, start):
+        by_active.setdefault(a, []).append(i)
+        by_start.setdefault(s, []).append(i)
+    live: dict[int, dict[TemporalEdge, int]] = {}
     n_live = 0
     ops = 0
     cores = 0
@@ -162,24 +168,26 @@ def enumerate_cores(index: CoreWindowIndex, span: tuple[int, int],
         if deadline is not None and time.perf_counter() > deadline:
             raise BudgetExceeded(f"sweep exceeded its deadline at start {t}")
         expired = by_start.get(t - 1, ())
-        for w in expired:
-            group = live[w.end]
-            del group[w.edge]
+        for i in expired:
+            te = end[i]
+            group = live[te]
+            del group[edge[i]]
             if not group:
-                del live[w.end]
+                del live[te]
         added = by_active.get(t, ())
-        for w in added:
-            live.setdefault(w.end, {})[w.edge] = w
+        for i in added:
+            live.setdefault(end[i], {})[edge[i]] = i
         n_live += len(added) - len(expired)
         ops += len(added) + len(expired)
         if n_live > peak_live:
             peak_live = n_live
         if _on_step is not None:
-            _on_step(t, [w for te in sorted(live) for w in live[te].values()])
+            _on_step(t, [index.window(i) for te in sorted(live)
+                         for i in live[te].values()])
         starting = by_start.get(t)
         if not starting:
             continue
-        first = min(w.end for w in starting)
+        first = min(map(end.__getitem__, starting))
         acc: list[TemporalEdge] = []
         prev_len = 0
         for te in sorted(live):
@@ -209,8 +217,9 @@ def enumerate_cores_baseline(index: CoreWindowIndex, span: tuple[int, int],
     ts_lo, ts_hi = span
     if index.span != (ts_lo, ts_hi):
         raise ValueError("window index was built for a different span")
-    edge_wins = [(e, [w.start for w in wins], wins)
-                 for e, wins in index.by_edge.items() if wins]
+    start, end = index.start, index.end
+    edge_wins = [(e, start[ids.start:ids.stop], end[ids.start:ids.stop])
+                 for e, ids in index.ids_by_edge().items() if ids]
     scanned = 0
     cores = 0
     size0 = sink.result_size
@@ -218,10 +227,10 @@ def enumerate_cores_baseline(index: CoreWindowIndex, span: tuple[int, int],
         if deadline is not None and time.perf_counter() > deadline:
             raise BudgetExceeded(f"baseline scan exceeded its deadline at start {ts}")
         buckets: dict[int, list[TemporalEdge]] = {}
-        for e, starts, wins in edge_wins:
+        for e, starts, ends in edge_wins:
             i = bisect_left(starts, ts)
             if i < len(starts):
-                buckets.setdefault(wins[i].end, []).append(e)
+                buckets.setdefault(ends[i], []).append(e)
         acc: list[TemporalEdge] = []
         prev_len = 0
         t_min, t_max = ts_hi + 1, ts

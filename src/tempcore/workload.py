@@ -188,7 +188,8 @@ def run_query(g: TemporalGraph, k: int, span: tuple[int, int], algo: str = "enum
     else:
         core_times = build_core_times(g, k, span, deadline=deadline)
         t1 = time.perf_counter()
-        core_windows = build_core_windows(g, k, span, core_times)
+        core_windows = build_core_windows(g, k, span, core_times,
+                                          deadline=deadline)
         t2 = time.perf_counter()
         if algo == "enum":
             node_ops = enumerate_cores(core_windows, span, sink,

@@ -225,8 +225,11 @@ def test_criterion_8_performance_smoke():
     build_elapsed = time.perf_counter() - build_started
 
     sweep_totals, prep_totals, brute_totals = [], [], []
-    sweep_map = brute_map = None
     for _ in range(5):
+        # drop the previous repeat's results first, so that collections
+        # during this repeat's index phases do not walk them
+        core_times = core_windows = sink = brute = None
+        sweep_map = brute_map = None
         t0 = time.perf_counter()
         core_times = build_core_times(g, k, span)
         core_windows = build_core_windows(g, k, span, core_times)

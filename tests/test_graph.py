@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from tempcore import (EmptyGraphError, ParseError, TemporalGraph,
                       compress_timestamps, parse_edge_list, static_coreness,
                       stats)
+from tempcore.synth import random_graph
 
 
 def graph_of(text: str) -> TemporalGraph:
@@ -177,6 +178,19 @@ def test_coreness_monotone_under_edge_additions(triples, extra):
     for label, v1 in zip(g1.labels, range(g1.n)):
         v2 = g2.labels.index(label)
         assert core2[v2] >= core1[v1]
+
+
+class TestAdjacencyOrder:
+    # from_triples does not sort adjacency; the (t, u, v) edge order must
+    # already leave every list sorted, as bisect over it assumes
+    def test_fixture(self, g14):
+        assert all(a == sorted(a) for a in g14.adj)
+
+    def test_corpus(self):
+        rng = random.Random(2024)
+        for _ in range(200):
+            g = random_graph(rng)
+            assert all(a == sorted(a) for a in g.adj)
 
 
 def test_canonical_edge_invariants_random():

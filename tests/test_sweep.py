@@ -31,7 +31,7 @@ def hand_index(span, windows):
     for edge, start, end in windows:
         e = TemporalEdge(*edge)
         by_edge[e] = [MinimalCoreWindow(e, start, end, active=span[0])]
-    return CoreWindowIndex(2, span, by_edge, len(by_edge))
+    return CoreWindowIndex.from_windows(2, span, by_edge)
 
 
 class TestScanStart:
@@ -111,20 +111,21 @@ class TestEnumerate:
                             deadline=time.perf_counter() - 1)
 
     def test_missing_actives_rejected(self, g14):
-        cwi = windows_index(g14, 2, (1, 7))
-        for wins in cwi.by_edge.values():
-            for w in wins:
-                w.active = None
+        built = windows_index(g14, 2, (1, 7))
+        cwi = CoreWindowIndex.from_windows(2, (1, 7), {
+            e: [MinimalCoreWindow(e, w.start, w.end) for w in wins]
+            for e, wins in built.by_edge.items()})
+        assert cwi.active is None
         with pytest.raises(ValueError):
             enumerate_cores(cwi, (1, 7), FullSink())
 
     def test_all_windows_equal(self):
         edge = TemporalEdge(0, 1, 1)
         other = TemporalEdge(0, 2, 1)
-        cwi = CoreWindowIndex(1, (1, 3), {
+        cwi = CoreWindowIndex.from_windows(1, (1, 3), {
             edge: [MinimalCoreWindow(edge, 1, 2, active=1)],
             other: [MinimalCoreWindow(other, 1, 2, active=1)],
-        }, 2)
+        })
         sink = FullSink()
         st = enumerate_cores(cwi, (1, 3), sink)
         assert st.cores == 1
@@ -165,7 +166,7 @@ class TestEnumerate:
         for seed in (1, 2, 3):
             items = list(cwi.by_edge.items())
             random.Random(seed).shuffle(items)
-            shuffled = CoreWindowIndex(cwi.k, cwi.span, dict(items), cwi.size)
+            shuffled = CoreWindowIndex.from_windows(cwi.k, cwi.span, dict(items))
             other = FullSink()
             enumerate_cores(shuffled, (1, 7), other)
             assert result_map(other.records) == want

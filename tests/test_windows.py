@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import random
+import time
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tempcore import (brute_core_windows, build_core_times, build_core_windows,
+from tempcore import (BudgetExceeded, EmptyGraphError, TemporalGraph,
+                      brute_core_windows, build_core_times, build_core_windows,
                       compute_active_times, temporal_kcore)
-from tempcore.synth import random_graph
+from tempcore.synth import burst_graph, random_graph
 
 from .conftest import GOLDEN_WINDOWS, dense_edge, windows_by_label
 
@@ -52,6 +57,12 @@ class TestGolden:
         ct3 = build_core_times(g14, 3, (1, 7))
         with pytest.raises(ValueError):
             build_core_windows(g14, 2, (1, 7), ct3)
+
+    def test_past_deadline_raises(self, g14):
+        ct = build_core_times(g14, 2, (1, 7))
+        with pytest.raises(BudgetExceeded):
+            build_core_windows(g14, 2, (1, 7), ct,
+                               deadline=time.perf_counter() - 1)
 
     def test_to_text_contains_rows(self, g14):
         text = build_both(g14, 2, (1, 7)).to_text(g14.labels)
@@ -151,3 +162,40 @@ class TestProperties:
                     assert any(w.start == s and w.end == c and e.t == s
                                for e, wins in cwi.by_edge.items()
                                for w in wins), (s, c)
+
+
+def columns(cwi):
+    """The span's edges, then (edge, start, end, active) per window."""
+    return list(cwi.by_edge), list(zip(cwi.edge, cwi.start, cwi.end, cwi.active))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
+                          st.integers(1, 6)), min_size=5, max_size=40),
+       st.data())
+def test_columns_match_oracle(triples, data):
+    try:
+        g = TemporalGraph.from_triples(triples)
+    except EmptyGraphError:
+        return
+    a = data.draw(st.integers(1, g.t_count), label="ts")
+    b = data.draw(st.integers(a, g.t_count), label="te")
+    for k in (1, 2, 3, 4):
+        built = build_both(g, k, (a, b))
+        assert columns(built) == columns(brute_core_windows(g, k, (a, b))), k
+
+
+def test_index_memory_per_window():
+    # the columns hold 20 bytes per window and one reference per span
+    # edge; an object and a list per window would hold about 200
+    g = burst_graph(5, timestamps=2000, clique=10, target_edges=12000)
+    span = (1, g.t_count)
+    ct = build_core_times(g, 2, span)
+    tracemalloc.start()
+    try:
+        cwi = build_core_windows(g, 2, span, ct)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert cwi.size > 10_000
+    assert held < 64 * cwi.size, (held, cwi.size)
