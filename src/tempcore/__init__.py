@@ -16,8 +16,8 @@ from .graph import (BudgetExceeded, EmptyGraphError, GraphStats, ParseError,
 from .oracle import (BruteEnumeration, CoreSubgraph, brute_core_times,
                      brute_core_windows, brute_enumerate, temporal_kcore,
                      window_cores)
-from .sweep import (BaselineStats, CoreResult, DeltaSink, FullSink, ResultSink,
-                    SizesSink, SweepStats, enumerate_cores,
+from .sweep import (BaselineStats, CoreResult, DeltaSink, FullSink, RecordSink,
+                    ResultSink, SizesSink, SweepStats, enumerate_cores,
                     enumerate_cores_baseline, make_sink)
 from .windows import (CoreWindowIndex, MinimalCoreWindow, build_core_windows,
                       compute_active_times)
@@ -31,8 +31,8 @@ __all__ = [
     "BaselineStats", "BruteEnumeration", "BudgetExceeded", "CoreResult",
     "CoreSubgraph", "CoreTimeIndex", "CoreWindowIndex", "DeltaSink",
     "EmptyGraphError", "FullSink", "GraphStats", "MinimalCoreWindow",
-    "ParseError", "QuerySpec", "ResultSink", "RunReport", "SizesSink",
-    "SweepStats", "TemporalEdge", "TemporalGraph", "TimeDomain",
+    "ParseError", "QuerySpec", "RecordSink", "ResultSink", "RunReport",
+    "SizesSink", "SweepStats", "TemporalEdge", "TemporalGraph", "TimeDomain",
     "WorkloadError", "brute_core_times", "brute_core_windows",
     "brute_enumerate", "build_core_times", "build_core_windows",
     "canonical_edges", "compress_timestamps", "compute_active_times",

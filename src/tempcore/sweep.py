@@ -20,6 +20,13 @@ cumulatively over end times. A core with tightest interval [a, b] is found
 by the scan of start a at end b, and often again by scans of earlier
 starts; the baseline emits it only at scan a, so it needs no table of cores
 seen and emits in (ts, te) order.
+
+Both hand each core to a sink as (ts, te, accumulator, prev_len). A
+ResultSink counts; a RecordSink reports no edges (sizes), the core's new
+edges (delta) or all its edges (full), mapped once per edge to a sort key
+and a value, in key order. The library sinks keep CoreResult records of
+the edges in (t, u, v) order; workload's stream writer is a RecordSink
+that writes result lines instead.
 """
 
 from __future__ import annotations
@@ -47,7 +54,9 @@ class ResultSink:
     calls emit in (ts, te) ascending order with a strictly growing
     accumulator per ts; prev_len marks the accumulator length at the
     previous emission of the same start time, so it is 0 exactly at the
-    first emission of a start time. Used as is, it counts.
+    first emission of a start time and acc[prev_len:] are the core's new
+    edges. Used as is, it counts; RecordSink decides what every other mode
+    reports for a core.
     """
 
     mode = "count"
@@ -62,68 +71,92 @@ class ResultSink:
         self.result_size += len(acc)
 
 
-class SizesSink(ResultSink):
-    mode = "sizes"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.records = []
-
-    def emit(self, ts, te, acc, prev_len):
-        super().emit(ts, te, acc, prev_len)
-        self.records.append(CoreResult(ts, te, len(acc), None))
+def _edge_key(e: TemporalEdge) -> tuple[tuple[int, int, int], TemporalEdge]:
+    u, v, t = e
+    return (t, u, v), e
 
 
-class DeltaSink(ResultSink):
-    mode = "delta"
+class EdgeMemo(dict):
+    """edge -> item(edge), a (key, value) pair built on the first lookup.
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.records = []
-
-    def emit(self, ts, te, acc, prev_len):
-        super().emit(ts, te, acc, prev_len)
-        self.records.append(CoreResult(ts, te, len(acc), tuple(acc[prev_len:])))
-
-
-class FullSink(ResultSink):
-    """Records each core's edges sorted by (t, u, v).
-
-    The current start time's edges are kept as a sorted run, so an emission
-    inserts only its new edges instead of sorting the whole accumulator.
+    A repeat lookup is a plain dict lookup that calls no Python code.
     """
 
-    mode = "full"
-
-    def __init__(self) -> None:
+    def __init__(self, item) -> None:
         super().__init__()
+        self.item = item
+
+    def __missing__(self, e: TemporalEdge):
+        pair = self[e] = self.item(e)
+        return pair
+
+    def sorted_values(self, edges) -> list:
+        """The edges' values in key order (keys are distinct per edge)."""
+        return [value for _, value in sorted(map(self.__getitem__, edges))]
+
+
+class RecordSink(ResultSink):
+    """Reports each core's edges as the mode decides, through record.
+
+    sizes reports no edges; delta the core's new edges, and full all of the
+    start time's edges so far, both as the values of item(e) -> (key,
+    value) in key order. The default item keys an edge by (t, u, v) and
+    gives the edge itself. full keeps the start time's values as one sorted
+    run, so an emission inserts only its new edges.
+    """
+
+    def __init__(self, mode: str, item=_edge_key) -> None:
+        if mode not in ("sizes", "delta", "full"):
+            raise ValueError(f"unknown sink mode {mode!r}")
+        super().__init__()
+        self.mode = mode
         self.records = []
-        self._keys: list[tuple[int, int, int]] = []
-        self._run: list[TemporalEdge] = []
+        self._items = EdgeMemo(item)
+        self._keys: list = []
+        self._run: list = []
 
     def emit(self, ts, te, acc, prev_len):
         super().emit(ts, te, acc, prev_len)
-        keys, run = self._keys, self._run
-        if prev_len == 0:
-            keys.clear()
-            run.clear()
-        for e in acc[prev_len:]:
-            u, v, t = e
-            key = (t, u, v)
-            i = bisect_right(keys, key)
-            keys.insert(i, key)
-            run.insert(i, e)
-        self.records.append(CoreResult(ts, te, len(acc), tuple(run)))
+        if self.mode == "sizes":
+            values = None
+        elif self.mode == "delta":
+            values = self._items.sorted_values(acc[prev_len:])
+        else:
+            keys, run, items = self._keys, self._run, self._items
+            if prev_len == 0:
+                keys.clear()
+                run.clear()
+            for e in acc[prev_len:]:
+                key, value = items[e]
+                i = bisect_right(keys, key)
+                keys.insert(i, key)
+                run.insert(i, value)
+            values = run
+        self.record(ts, te, len(acc), values)
+
+    def record(self, ts: int, te: int, size: int, values: list | None) -> None:
+        """Keep one core; values is None in sizes mode."""
+        self.records.append(CoreResult(ts, te, size,
+                                       None if values is None else tuple(values)))
 
 
-_SINKS = {"count": ResultSink, "sizes": SizesSink, "delta": DeltaSink, "full": FullSink}
+class SizesSink(RecordSink):
+    def __init__(self) -> None:
+        super().__init__("sizes")
+
+
+class DeltaSink(RecordSink):
+    def __init__(self) -> None:
+        super().__init__("delta")
+
+
+class FullSink(RecordSink):
+    def __init__(self) -> None:
+        super().__init__("full")
 
 
 def make_sink(mode: str) -> ResultSink:
-    try:
-        return _SINKS[mode]()
-    except KeyError:
-        raise ValueError(f"unknown sink mode {mode!r}") from None
+    return ResultSink() if mode == "count" else RecordSink(mode)
 
 
 @dataclass(frozen=True)

@@ -20,14 +20,16 @@ from .sweep import FullSink, enumerate_cores, enumerate_cores_baseline
 from .synth import random_edge_triples
 from .windows import build_core_windows
 
+# the k values run_verification checks on every span
+KS = (1, 2, 3, 4)
+
 
 def core_map(records) -> dict[tuple, tuple[int, int]]:
     """Canonical edge list -> tightest interval, for result records."""
     return {rec.edges: (rec.ts, rec.te) for rec in records}
 
 
-def check_instance(g: TemporalGraph, k: int, span: tuple[int, int],
-                   _corrupt_windows=None) -> list[str]:
+def check_instance(g: TemporalGraph, k: int, span: tuple[int, int]) -> list[str]:
     """Return mismatch descriptions for one query; empty means agreement."""
     problems: list[str] = []
     where = f"k={k} span=[{span[0]},{span[1]}]"
@@ -41,8 +43,6 @@ def check_instance(g: TemporalGraph, k: int, span: tuple[int, int],
                                 f"built {got}, oracle {want}")
 
     core_windows = build_core_windows(g, k, span, core_times)
-    if _corrupt_windows is not None:
-        _corrupt_windows(core_windows)
     reference_windows = brute_core_windows(g, k, span)
     for e in g.edges:
         got = [(w.start, w.end, w.active) for w in core_windows.for_edge(e)]
@@ -92,8 +92,7 @@ def _sub_spans(rng: random.Random, t_count: int, how_many: int) -> list[tuple[in
 
 
 def run_verification(fixture: TemporalGraph | None, *, graphs: int = 50,
-                     seed: int = 0, ks=(1, 2, 3, 4), dump_path: str | None = None,
-                     _corrupt_windows=None) -> VerifyOutcome:
+                     seed: int = 0, dump_path: str | None = None) -> VerifyOutcome:
     """Equality suite over the fixture and a seeded random corpus.
 
     Stops at the first failing instance, minimizes it, and (when dump_path
@@ -103,14 +102,13 @@ def run_verification(fixture: TemporalGraph | None, *, graphs: int = 50,
 
     def run_one(g: TemporalGraph, triples, rng: random.Random) -> bool:
         for span in _sub_spans(rng, g.t_count, 3):
-            for k in ks:
-                problems = check_instance(g, k, span, _corrupt_windows)
+            for k in KS:
+                problems = check_instance(g, k, span)
                 outcome.checks += 1
                 if problems:
                     outcome.failures.extend(problems)
                     if dump_path is not None:
-                        reduced = minimize_failure(triples, k, span,
-                                                   _corrupt_windows)
+                        reduced = minimize_failure(triples, k, span)
                         dump_failure(dump_path, reduced, k, span, problems)
                         outcome.dump_file = dump_path
                     return False
@@ -133,7 +131,7 @@ def run_verification(fixture: TemporalGraph | None, *, graphs: int = 50,
     return outcome
 
 
-def _still_fails(triples, k: int, span: tuple[int, int], _corrupt_windows) -> bool:
+def _still_fails(triples, k: int, span: tuple[int, int]) -> bool:
     try:
         g = TemporalGraph.from_triples(triples)
     except EmptyGraphError:
@@ -142,11 +140,10 @@ def _still_fails(triples, k: int, span: tuple[int, int], _corrupt_windows) -> bo
     clamped = (min(span[0], g.t_count), min(span[1], g.t_count))
     if clamped[0] <= clamped[1] and clamped != spans[0]:
         spans.append(clamped)
-    return any(check_instance(g, k, s, _corrupt_windows) for s in spans)
+    return any(check_instance(g, k, s) for s in spans)
 
 
-def minimize_failure(triples, k: int, span: tuple[int, int],
-                     _corrupt_windows=None) -> list[tuple[int, int, int]]:
+def minimize_failure(triples, k: int, span: tuple[int, int]) -> list[tuple[int, int, int]]:
     """Greedily drop edges while the mismatch persists."""
     current = list(triples)
     shrunk = True
@@ -154,7 +151,7 @@ def minimize_failure(triples, k: int, span: tuple[int, int],
         shrunk = False
         for i in range(len(current) - 1, -1, -1):
             candidate = current[:i] + current[i + 1:]
-            if candidate and _still_fails(candidate, k, span, _corrupt_windows):
+            if candidate and _still_fails(candidate, k, span):
                 current = candidate
                 shrunk = True
     return current

@@ -1,19 +1,20 @@
 """Query workloads: parameter resolution, seeded range placement, the query
-pipeline shared by the CLI and the benchmarks, and run reports."""
+pipeline shared by the CLI and the benchmarks, run reports, and the result
+line format, which StreamSink, a sweep.RecordSink, writes as cores are
+emitted."""
 
 from __future__ import annotations
 
 import random
 import resource
 import time
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TextIO
 
 from .coretime import build_core_times
 from .graph import TemporalEdge, TemporalGraph, stats
 from .oracle import brute_enumerate, temporal_kcore
-from .sweep import (CoreResult, ResultSink, enumerate_cores,
+from .sweep import (CoreResult, EdgeMemo, RecordSink, enumerate_cores,
                     enumerate_cores_baseline, make_sink)
 from .windows import build_core_windows
 
@@ -44,8 +45,6 @@ class QuerySpec:
     k: int
     ts: int
     te: int
-    algo: str = "enum"
-    mode: str = "count"
     k_pct: int | None = None
     t_pct: int | None = None
 
@@ -206,30 +205,27 @@ def run_query(g: TemporalGraph, k: int, span: tuple[int, int], algo: str = "enum
 
 
 def _edge_texts(g: TemporalGraph):
-    """A memoised edge -> ((t, lo, hi), "[lo,hi,raw_t]") map for result lines.
+    """The item e -> ((t, lo, hi), "[lo,hi,raw_t]") of result lines.
 
     lo and hi are the endpoints' original ids, smaller first. Ranks order
     like raw timestamps, so sorting by the key sorts by (raw t, lo, hi).
     """
     labels, raw_values = g.labels, g.time_domain.raw_values
-    memo: dict[TemporalEdge, tuple[tuple[int, int, int], str]] = {}
 
     def item(e: TemporalEdge) -> tuple[tuple[int, int, int], str]:
-        found = memo.get(e)
-        if found is None:
-            u, v, t = e
-            lo, hi = labels[u], labels[v]
-            if hi < lo:
-                lo, hi = hi, lo
-            found = memo[e] = ((t, lo, hi), f"[{lo},{hi},{raw_values[t - 1]}]")
-        return found
+        u, v, t = e
+        lo, hi = labels[u], labels[v]
+        if hi < lo:
+            lo, hi = hi, lo
+        return (t, lo, hi), f"[{lo},{hi},{raw_values[t - 1]}]"
 
     return item
 
 
-def _head(g: TemporalGraph, ts: int, te: int, size: int) -> str:
+def _line(g: TemporalGraph, ts: int, te: int, size: int, texts) -> str:
     raw = g.time_domain.raw
-    return f"tti_ts={raw(ts)} tti_te={raw(te)} size={size}"
+    line = f"tti_ts={raw(ts)} tti_te={raw(te)} size={size}"
+    return line if texts is None else line + " edges=" + "".join(texts)
 
 
 def format_record(rec: CoreResult, g: TemporalGraph) -> str:
@@ -239,45 +235,18 @@ def format_record(rec: CoreResult, g: TemporalGraph) -> str:
     edge triples are printed sorted by (t, u, v) of those values with the
     smaller endpoint first, so equal streams diff clean.
     """
-    head = _head(g, rec.ts, rec.te, rec.size)
-    if rec.edges is None:
-        return head
-    items = sorted(map(_edge_texts(g), rec.edges))
-    return head + " edges=" + "".join(text for _, text in items)
+    texts = None if rec.edges is None else \
+        EdgeMemo(_edge_texts(g)).sorted_values(rec.edges)
+    return _line(g, rec.ts, rec.te, rec.size, texts)
 
 
-class StreamSink(ResultSink):
-    """Writes each core's format_record line as it is emitted; keeps no record.
-
-    In full mode the current start time's edges are kept as one sorted run
-    of (key, text) pairs, so an emission inserts only its new edges; in
-    delta mode only the new edges are sorted.
-    """
+class StreamSink(RecordSink):
+    """Writes each core's format_record line as it is emitted; keeps no record."""
 
     def __init__(self, g: TemporalGraph, mode: str, out: TextIO) -> None:
-        super().__init__()
-        self.mode = mode
+        super().__init__(mode, _edge_texts(g))
         self._g = g
         self._out = out
-        self._item = _edge_texts(g)
-        self._keys: list[tuple[int, int, int]] = []
-        self._parts: list[str] = []
 
-    def emit(self, ts, te, acc, prev_len):
-        super().emit(ts, te, acc, prev_len)
-        line = _head(self._g, ts, te, len(acc))
-        if self.mode == "full":
-            keys, parts, item = self._keys, self._parts, self._item
-            if prev_len == 0:
-                keys.clear()
-                parts.clear()
-            for e in acc[prev_len:]:
-                key, text = item(e)
-                i = bisect_right(keys, key)
-                keys.insert(i, key)
-                parts.insert(i, text)
-            line += " edges=" + "".join(parts)
-        elif self.mode == "delta":
-            items = sorted(map(self._item, acc[prev_len:]))
-            line += " edges=" + "".join(text for _, text in items)
-        self._out.write(line + "\n")
+    def record(self, ts, te, size, texts):
+        self._out.write(_line(self._g, ts, te, size, texts) + "\n")

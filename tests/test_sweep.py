@@ -9,7 +9,8 @@ import pytest
 
 from tempcore import (BudgetExceeded, FullSink, SizesSink, TemporalEdge,
                       brute_enumerate, build_core_times, build_core_windows,
-                      enumerate_cores, enumerate_cores_baseline, make_sink)
+                      canonical_edges, enumerate_cores, enumerate_cores_baseline,
+                      make_sink)
 from tempcore.synth import random_graph
 from tempcore.windows import CoreWindowIndex, MinimalCoreWindow
 
@@ -209,16 +210,26 @@ class TestSinks:
         assert len(set(seen.values())) == 1
 
     def test_delta_reassembles_full(self, g14):
-        cwi = windows_index(g14, 2, (1, 7))
-        delta = make_sink("delta")
-        full = make_sink("full")
-        enumerate_cores(cwi, (1, 7), delta)
-        enumerate_cores(cwi, (1, 7), full)
-        rebuilt: dict[int, set] = {}
-        for drec, frec in zip(delta.records, full.records):
-            acc = rebuilt.setdefault(drec.ts, set())
-            acc.update(drec.edges)
-            assert acc == set(frec.edges)
+        # g14, plus the corpus slice of test_streams_equal_across_algorithms
+        cases = [(g14, 2, (1, 7))]
+        for seed in range(777_000, 777_040):
+            g = random_graph(random.Random(seed))
+            cases += [(g, k, (1, g.t_count)) for k in (1, 2, 3)]
+        for g, k, span in cases:
+            cwi = windows_index(g, k, span)
+            delta = make_sink("delta")
+            full = make_sink("full")
+            enumerate_cores(cwi, span, delta)
+            enumerate_cores(cwi, span, full)
+            assert len(delta.records) == len(full.records)
+            rebuilt: dict[int, set] = {}
+            for drec, frec in zip(delta.records, full.records):
+                # the new edges come in (t, u, v) order, as full lists them
+                assert drec.edges == canonical_edges(drec.edges)
+                assert frec.edges == canonical_edges(frec.edges)
+                acc = rebuilt.setdefault(drec.ts, set())
+                acc.update(drec.edges)
+                assert acc == set(frec.edges)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):

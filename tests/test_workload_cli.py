@@ -8,6 +8,7 @@ import tracemalloc
 
 import pytest
 
+import tempcore.verify
 from tempcore import (WorkloadError, format_record, gen_queries,
                       parse_edge_list, place_span, resolve_k, resolve_width,
                       run_query)
@@ -275,16 +276,19 @@ class TestCliVerify:
         assert "pass" in capsys.readouterr().out
         assert not dump.exists()
 
-    def test_corrupted_windows_fail_with_dump(self, g14, tmp_path):
+    def test_corrupted_windows_fail_with_dump(self, g14, tmp_path, monkeypatch):
         dump = tmp_path / "dump.txt"
+        build = tempcore.verify.build_core_windows
 
-        def corrupt(index):
+        def corrupted(*args, **kwargs):
             # the windows are columns; stretch the first window by one
+            index = build(*args, **kwargs)
             if index.size:
                 index.end[0] += 1
+            return index
 
-        outcome = run_verification(g14, graphs=0, seed=0,
-                                   dump_path=str(dump), _corrupt_windows=corrupt)
+        monkeypatch.setattr(tempcore.verify, "build_core_windows", corrupted)
+        outcome = run_verification(g14, graphs=0, seed=0, dump_path=str(dump))
         assert not outcome.passed
         assert outcome.dump_file == str(dump)
         text = dump.read_text()
@@ -315,6 +319,16 @@ class TestCliBench:
 
     def test_exhausted_budget_exits_3(self, g14_file, capsys):
         assert main(["bench", "--input", g14_file, "--k-pcts", "100",
-                     "--t-pcts", "100", "--reps", "1", "--budget", "0"]) == 3
+                     "--t-pcts", "100", "--reps", "1", "--budget", "1e-7"]) == 3
         out = capsys.readouterr().out
         assert "timeout" in out
+
+    def test_zero_budget_is_unlimited(self, g14_file, capsys):
+        # as in query, --budget 0 sets no deadline
+        assert main(["bench", "--input", g14_file, "--k-pcts", "100",
+                     "--t-pcts", "100", "--reps", "2", "--budget", "0",
+                     "--algos", "enum,enumbase,brute"]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert len(rows) == 3
+        assert all(row.split("\t")[6] == "2" and row.endswith("\tok")
+                   for row in rows)
