@@ -30,18 +30,22 @@ peeled = temporal_kcore(g, 2, (2, 6))
 print(f"\ncore of [2,6] via windows: {len(member)} edges; "
       f"via peeling: {peeled.size} edges; equal: {set(member) == set(peeled.edges)}")
 
-# the active times drive the enumerator: a window only matters for start
-# times from its activation up to its own start
+# the enumerator holds one window per edge live: the edge's first window
+# starting no earlier than the current start time. So a window is live
+# from just after the previous window's start (the first one from the
+# span start) up to its own start
 edge = next(e for e, wins in windows.by_edge.items() if len(wins) > 1)
 print(f"\nwindows of ({g.labels[edge.u]},{g.labels[edge.v]},{edge.t}):")
+live_from = windows.span[0]
 for w in windows.for_edge(edge):
-    print(f"  [{w.start},{w.end}] live for start times {w.active}..{w.start}")
+    print(f"  [{w.start},{w.end}] live for start times {live_from}..{w.start}")
+    live_from = w.start + 1
 
-# the index itself holds no window objects: four flat columns with one
+# the index itself holds no window objects: three flat columns with one
 # entry per window, in edge order and then by start. The views printed
 # above are made from them on demand.
 print("\nthe first five windows as the enumerator reads them:")
 for i in range(5):
     e = windows.edge[i]
     print(f"  window {i}: edge ({g.labels[e.u]},{g.labels[e.v]},{e.t}) "
-          f"start={windows.start[i]} end={windows.end[i]} active={windows.active[i]}")
+          f"start={windows.start[i]} end={windows.end[i]}")

@@ -19,8 +19,7 @@ from .oracle import (BruteEnumeration, CoreSubgraph, brute_core_times,
 from .sweep import (BaselineStats, CoreResult, DeltaSink, FullSink, RecordSink,
                     ResultSink, SizesSink, SweepStats, enumerate_cores,
                     enumerate_cores_baseline, make_sink)
-from .windows import (CoreWindowIndex, MinimalCoreWindow, build_core_windows,
-                      compute_active_times)
+from .windows import CoreWindowIndex, MinimalCoreWindow, build_core_windows
 from .workload import (QuerySpec, RunReport, WorkloadError, format_record,
                        gen_queries, place_span, resolve_k, resolve_width,
                        run_query)
@@ -35,9 +34,9 @@ __all__ = [
     "SizesSink", "SweepStats", "TemporalEdge", "TemporalGraph", "TimeDomain",
     "WorkloadError", "brute_core_times", "brute_core_windows",
     "brute_enumerate", "build_core_times", "build_core_windows",
-    "canonical_edges", "compress_timestamps", "compute_active_times",
-    "enumerate_cores", "enumerate_cores_baseline", "format_record",
-    "gen_queries", "make_sink", "parse_edge_list", "place_span", "resolve_k",
-    "resolve_width", "run_query", "static_coreness", "stats",
-    "temporal_kcore", "window_cores",
+    "canonical_edges", "compress_timestamps", "enumerate_cores",
+    "enumerate_cores_baseline", "format_record", "gen_queries", "make_sink",
+    "parse_edge_list", "place_span", "resolve_k", "resolve_width",
+    "run_query", "static_coreness", "stats", "temporal_kcore",
+    "window_cores",
 ]

@@ -44,6 +44,12 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part]
 
 
+def _at_least(value, low, flag: str) -> None:
+    """Reject a flag value below low, NaN included."""
+    if not value >= low:
+        raise ValueError(f"{flag} must be at least {low}, got {value}")
+
+
 def _resolve_span(g: TemporalGraph, k: int, args) -> tuple[int, int]:
     if args.t_pct is not None:
         width = resolve_width(args.t_pct, g.t_count)
@@ -75,6 +81,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_query(args) -> int:
+    _at_least(args.budget, 0, "--budget")
     g = _load(args.input)
     k = _resolve_k(g, args)
     span = _resolve_span(g, k, args)
@@ -106,6 +113,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _at_least(args.graphs, 0, "--graphs")
     fixture = _load(args.input) if args.input else None
     outcome = run_verification(fixture, graphs=args.graphs, seed=args.seed,
                                dump_path=args.dump)
@@ -121,12 +129,18 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    _at_least(args.reps, 1, "--reps")
+    _at_least(args.budget, 0, "--budget")
     g = _load(args.input)
     st = stats(g)
     algos = [a for a in args.algos.split(",") if a]
     for a in algos:
         if a not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {a!r}")
+    # a percentage outside (0, 100] fails here, before the header is printed
+    ks = [(k_pct, resolve_k(k_pct, st.k_max)) for k_pct in args.k_pcts]
+    for t_pct in args.t_pcts:
+        resolve_width(t_pct, g.t_count)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     header = ("k_pct\tt_pct\tk\tts\tte\talgo\treps\tcores\tresult_size\t"
               "core_times_s\twindows_s\tenum_s\ttotal_s\tstatus")
@@ -134,8 +148,7 @@ def _cmd_bench(args) -> int:
     statuses: list[str] = []
     try:
         print(header, file=out)
-        for k_pct in args.k_pcts:
-            k = resolve_k(k_pct, st.k_max)
+        for k_pct, k in ks:
             for t_pct in args.t_pcts:
                 try:
                     specs, _ = gen_queries(g, [k_pct], [t_pct], 1, args.seed)
@@ -205,9 +218,9 @@ def _build_parser() -> _Parser:
     p_query.add_argument("--mode", choices=MODES, default="count")
     p_query.add_argument("--seed", type=int, default=0)
     p_query.add_argument("--budget", type=float, default=0.0,
-                         help="abort past this many seconds (0 = unlimited) "
-                              "with exit 3; lines already written stay, "
-                              "ending at a line boundary")
+                         help="abort past this many seconds (at least 0; "
+                              "0 = unlimited) with exit 3; lines already "
+                              "written stay, ending at a line boundary")
     p_query.add_argument("--out")
 
     p_gen = sub.add_parser("gen", help="generate a seeded query workload")
@@ -219,7 +232,8 @@ def _build_parser() -> _Parser:
 
     p_verify = sub.add_parser("verify", help="cross-check algorithms against the oracle")
     p_verify.add_argument("--input")
-    p_verify.add_argument("--graphs", type=int, default=50)
+    p_verify.add_argument("--graphs", type=int, default=50,
+                          help="random graphs to check (at least 0)")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--dump", default="verify_failure.txt")
 
@@ -227,10 +241,12 @@ def _build_parser() -> _Parser:
     p_bench.add_argument("--input", required=True)
     p_bench.add_argument("--k-pcts", type=_int_list, default=[10, 20, 30, 40])
     p_bench.add_argument("--t-pcts", type=_int_list, default=[5, 10, 20, 40])
-    p_bench.add_argument("--reps", type=int, default=3)
+    p_bench.add_argument("--reps", type=int, default=3,
+                         help="timed runs per cell (at least 1)")
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--budget", type=float, default=60.0,
-                         help="per-cell wall budget in seconds (0 = unlimited)")
+                         help="per-cell wall budget in seconds "
+                              "(at least 0; 0 = unlimited)")
     p_bench.add_argument("--algos", default="enum")
     p_bench.add_argument("--out")
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .coretime import CoreTimeIndex
 from .graph import (BudgetExceeded, TemporalEdge, TemporalGraph, WindowPeel,
                     canonical_edges)
-from .windows import CoreWindowIndex, MinimalCoreWindow, compute_active_times
+from .windows import CoreWindowIndex, MinimalCoreWindow
 
 
 @dataclass(frozen=True)
@@ -200,4 +200,4 @@ def brute_core_windows(g: TemporalGraph, k: int, span: tuple[int, int]) -> CoreW
                     continue
                 wins.append(MinimalCoreWindow(e, a, b))
         by_edge[e] = wins
-    return compute_active_times(CoreWindowIndex.from_windows(k, span, by_edge))
+    return CoreWindowIndex.from_windows(k, span, by_edge)

@@ -45,8 +45,8 @@ def check_instance(g: TemporalGraph, k: int, span: tuple[int, int]) -> list[str]
     core_windows = build_core_windows(g, k, span, core_times)
     reference_windows = brute_core_windows(g, k, span)
     for e in g.edges:
-        got = [(w.start, w.end, w.active) for w in core_windows.for_edge(e)]
-        want = [(w.start, w.end, w.active) for w in reference_windows.for_edge(e)]
+        got = [(w.start, w.end) for w in core_windows.for_edge(e)]
+        want = [(w.start, w.end) for w in reference_windows.for_edge(e)]
         if got != want:
             problems.append(f"minimal windows differ at edge {tuple(e)} ({where}): "
                             f"built {got}, oracle {want}")

@@ -2,11 +2,7 @@
 
 A window [s, e] is minimal for an edge when the edge lies in the k-core of
 that window's projection but of no strict sub-window. Per edge the minimal
-windows strictly increase in both endpoints, so none contains another. Each
-window also carries an active time: the earliest query start time for which
-it is the edge's first window starting no earlier than that start. An edge
-has at most one "live" window per start time because the active-to-start
-intervals of its windows tile the time axis.
+windows strictly increase in both endpoints, so none contains another.
 
 Derivation from core times: for an edge (u, v, t) the earliest core end
 from start ts is f(ts) = max(ct(u, ts), ct(v, ts), t), defined while
@@ -16,11 +12,11 @@ of a run yield the same end and are therefore dominated. The run ending at
 ts = t covers the edge's expiry from the window, and the run reaching the
 span end is flushed as well.
 
-Layout: the index holds no object per window. Its windows are four flat
-columns, `edge`, `start`, `end` and `active`, in the order of the span's
-edges (g.edges order, so (t, u, v)) and then by start. `edge` is a list of
-references to the graph's own edges; the three times are 32-bit arrays.
-That is 20 bytes per window plus one reference per span edge: 2.7 MiB
+Layout: the index holds no object per window. Its windows are three flat
+columns, `edge`, `start` and `end`, in the order of the span's edges
+(g.edges order, so (t, u, v)) and then by start. `edge` is a list of
+references to the graph's own edges; the two times are 32-bit arrays.
+That is 16 bytes per window plus one reference per span edge: 2.3 MiB
 (tracemalloc) for the 100,035 windows of the 100k-edge burst graph with
 k=2 over its whole range. MinimalCoreWindow is a view, made on demand by
 for_edge, all_windows and by_edge.
@@ -46,31 +42,27 @@ class MinimalCoreWindow:
     edge: TemporalEdge
     start: int
     end: int
-    active: int | None = None
 
 
 class CoreWindowIndex:
     """The minimal windows of one (k, span) query, as per-window columns.
 
-    Window i is (edge[i], start[i], end[i], active[i]); the windows of one
-    edge are adjacent and ordered by start. active is None until active
-    times are computed. edges lists the span's edges in column order,
-    windowless ones included.
+    Window i is (edge[i], start[i], end[i]); the windows of one edge are
+    adjacent and ordered by start. edges lists the span's edges in column
+    order, windowless ones included.
     """
 
-    __slots__ = ("k", "span", "edges", "edge", "start", "end", "active",
-                 "_where")
+    __slots__ = ("k", "span", "edges", "edge", "start", "end", "_where")
 
     def __init__(self, k: int, span: tuple[int, int],
                  edges: Sequence[TemporalEdge], edge: list[TemporalEdge],
-                 start: array, end: array, active: array | None) -> None:
+                 start: array, end: array) -> None:
         self.k = k
         self.span = span
         self.edges = edges
         self.edge = edge
         self.start = start
         self.end = end
-        self.active = active
         self._where: dict[TemporalEdge, range] | None = None
 
     @classmethod
@@ -78,18 +70,15 @@ class CoreWindowIndex:
                      by_edge: Mapping[TemporalEdge, Sequence[MinimalCoreWindow]]
                      ) -> "CoreWindowIndex":
         """An index holding the given windows per edge, in the mapping's
-        order. The active column is kept only when every window has one."""
+        order."""
         edge: list[TemporalEdge] = []
-        start, end, active = array("i"), array("i"), array("i")
+        start, end = array("i"), array("i")
         for e, wins in by_edge.items():
             for w in wins:
                 edge.append(e)
                 start.append(w.start)
                 end.append(w.end)
-                if w.active is not None:
-                    active.append(w.active)
-        return cls(k, tuple(span), list(by_edge), edge, start, end,
-                   active if len(active) == len(start) else None)
+        return cls(k, tuple(span), list(by_edge), edge, start, end)
 
     @property
     def size(self) -> int:
@@ -101,8 +90,7 @@ class CoreWindowIndex:
         return _ByEdge(self)
 
     def window(self, i: int) -> MinimalCoreWindow:
-        active = None if self.active is None else self.active[i]
-        return MinimalCoreWindow(self.edge[i], self.start[i], self.end[i], active)
+        return MinimalCoreWindow(self.edge[i], self.start[i], self.end[i])
 
     def ids_by_edge(self) -> dict[TemporalEdge, range]:
         """Span edge -> the ids of its windows, found once and kept."""
@@ -161,7 +149,7 @@ def build_core_windows(g: TemporalGraph, k: int, span: tuple[int, int],
                        core_times: CoreTimeIndex,
                        deadline: float | None = None) -> CoreWindowIndex:
     """Minimal core windows of every span edge, derived from the core-time
-    index, with their active times.
+    index.
 
     The index must have been built for the same (k, span). Per edge the two
     endpoints' runs are merged over [span start, e.t]; each change of f
@@ -178,9 +166,8 @@ def build_core_windows(g: TemporalGraph, k: int, span: tuple[int, int],
     lo = bisect_left(edges, ts_lo, key=lambda e: e[2])
     hi = bisect_left(edges, ts_hi + 1, key=lambda e: e[2])
     edge: list[TemporalEdge] = []
-    start, end, active = array("i"), array("i"), array("i")
-    add_edge, add_start = edge.append, start.append
-    add_end, add_active = end.append, active.append
+    start, end = array("i"), array("i")
+    add_edge, add_start, add_end = edge.append, start.append, end.append
     for block in range(lo, hi, _BLOCK):
         if deadline is not None and time.perf_counter() > deadline:
             raise BudgetExceeded(f"window build exceeded its deadline at edge {block}")
@@ -199,7 +186,6 @@ def build_core_windows(g: TemporalGraph, k: int, span: tuple[int, int],
             nv = rv[1][0] if len(rv) > 1 else t + 1
             pos = ts_lo
             cur = None
-            act = ts_lo
             while True:
                 if a is None or b is None:
                     f = None
@@ -212,8 +198,6 @@ def build_core_windows(g: TemporalGraph, k: int, span: tuple[int, int],
                         add_edge(e)
                         add_start(pos - 1)
                         add_end(cur)
-                        add_active(act)
-                        act = pos
                     cur = f
                 pos = nu if nu < nv else nv
                 if pos > t:
@@ -230,20 +214,5 @@ def build_core_windows(g: TemporalGraph, k: int, span: tuple[int, int],
                 add_edge(e)
                 add_start(t)
                 add_end(cur)
-                add_active(act)
-    return CoreWindowIndex(k, (ts_lo, ts_hi), edges[lo:hi], edge, start, end, active)
+    return CoreWindowIndex(k, (ts_lo, ts_hi), edges[lo:hi], edge, start, end)
 
-
-def compute_active_times(index: CoreWindowIndex) -> CoreWindowIndex:
-    """Fill the index's active column, in place.
-
-    An edge's first window activates at the span start; each later window
-    activates right after the previous window's start has passed.
-    """
-    ts_lo = index.span[0]
-    edge, start = index.edge, index.start
-    active = array("i", start)
-    for i in range(len(start)):
-        active[i] = start[i - 1] + 1 if i and edge[i - 1] is edge[i] else ts_lo
-    index.active = active
-    return index

@@ -7,11 +7,11 @@ import time
 
 import pytest
 
-from tempcore import (BudgetExceeded, FullSink, SizesSink, TemporalEdge,
-                      brute_enumerate, build_core_times, build_core_windows,
-                      canonical_edges, enumerate_cores, enumerate_cores_baseline,
-                      make_sink)
-from tempcore.synth import random_graph
+from tempcore import (BudgetExceeded, FullSink, ResultSink, SizesSink,
+                      TemporalEdge, brute_enumerate, build_core_times,
+                      build_core_windows, canonical_edges, enumerate_cores,
+                      enumerate_cores_baseline, make_sink)
+from tempcore.synth import burst_graph, random_graph
 from tempcore.windows import CoreWindowIndex, MinimalCoreWindow
 
 from .conftest import GOLDEN_14_CORES, GOLDEN_FULL_CORES, label_vertices
@@ -27,11 +27,11 @@ def result_map(records):
 
 def hand_index(span, windows):
     """A window index assembled directly from (edge, start, end) windows,
-    one per edge, each active from the span start."""
+    one per edge."""
     by_edge = {}
     for edge, start, end in windows:
         e = TemporalEdge(*edge)
-        by_edge[e] = [MinimalCoreWindow(e, start, end, active=span[0])]
+        by_edge[e] = [MinimalCoreWindow(e, start, end)]
     return CoreWindowIndex.from_windows(2, span, by_edge)
 
 
@@ -111,21 +111,12 @@ class TestEnumerate:
             enumerate_cores(cwi, (1, 7), FullSink(),
                             deadline=time.perf_counter() - 1)
 
-    def test_missing_actives_rejected(self, g14):
-        built = windows_index(g14, 2, (1, 7))
-        cwi = CoreWindowIndex.from_windows(2, (1, 7), {
-            e: [MinimalCoreWindow(e, w.start, w.end) for w in wins]
-            for e, wins in built.by_edge.items()})
-        assert cwi.active is None
-        with pytest.raises(ValueError):
-            enumerate_cores(cwi, (1, 7), FullSink())
-
     def test_all_windows_equal(self):
         edge = TemporalEdge(0, 1, 1)
         other = TemporalEdge(0, 2, 1)
         cwi = CoreWindowIndex.from_windows(1, (1, 3), {
-            edge: [MinimalCoreWindow(edge, 1, 2, active=1)],
-            other: [MinimalCoreWindow(other, 1, 2, active=1)],
+            edge: [MinimalCoreWindow(edge, 1, 2)],
+            other: [MinimalCoreWindow(other, 1, 2)],
         })
         sink = FullSink()
         st = enumerate_cores(cwi, (1, 3), sink)
@@ -143,21 +134,30 @@ class TestEnumerate:
             for earlier, later in zip(records, records[1:]):
                 assert set(earlier.edges) < set(later.edges)
 
-    def test_live_list_invariants(self, g14):
-        cwi = windows_index(g14, 2, (1, 7))
-        seen_steps = []
-
-        def on_step(t, live):
-            seen_steps.append(t)
-            ends = [w.end for w in live]
-            assert ends == sorted(ends)
-            edges = [w.edge for w in live]
-            assert len(edges) == len(set(edges))
-            for w in live:
-                assert w.active <= t <= w.start
-
-        enumerate_cores(cwi, (1, 7), FullSink(), _on_step=on_step)
-        assert seen_steps == list(range(1, 8))
+    def test_emissions_hold_first_windows_from_ts(self):
+        # at start ts each edge is live through its first window starting
+        # no earlier than ts, so the core emitted at (ts, te) holds, once
+        # each, exactly the edges whose such window ends by te
+        rng = random.Random(61)
+        emissions = 0
+        for _ in range(60):
+            g = random_graph(rng)
+            a = rng.randint(1, g.t_count)
+            b = rng.randint(a, g.t_count)
+            for k in (1, 2, 3):
+                cwi = windows_index(g, k, (a, b))
+                sink = _Emissions()
+                enumerate_cores(cwi, (a, b), sink)
+                for ts, te, acc in sink.seen:
+                    assert len(acc) == len(set(acc)), (ts, te)
+                    want = set()
+                    for e, wins in cwi.by_edge.items():
+                        live = next((w for w in wins if w.start >= ts), None)
+                        if live is not None and live.end <= te:
+                            want.add(e)
+                    assert set(acc) == want, (ts, te)
+                emissions += len(sink.seen)
+        assert emissions > 500
 
     def test_equal_end_order_is_irrelevant(self, g14):
         cwi = windows_index(g14, 2, (1, 7))
@@ -171,6 +171,56 @@ class TestEnumerate:
             other = FullSink()
             enumerate_cores(shuffled, (1, 7), other)
             assert result_map(other.records) == want
+
+
+class _Emissions(ResultSink):
+    """Counts like ResultSink and keeps a copy of every emission."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.seen: list[tuple[int, int, list]] = []
+
+    def emit(self, ts, te, acc, prev_len):
+        super().emit(ts, te, acc, prev_len)
+        self.seen.append((ts, te, list(acc)))
+
+
+def full_records(g, k, span):
+    sink = FullSink()
+    enumerate_cores(windows_index(g, k, span), span, sink)
+    return sink.records
+
+
+def inside(records, sub):
+    return [r for r in records if sub[0] <= r.ts and r.te <= sub[1]]
+
+
+class TestSpanRestriction:
+    """The cores of sub ⊆ span are the cores of span whose tightest
+    interval lies inside sub, in the same order."""
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_burst_graph(self, k):
+        g = burst_graph(5, timestamps=2000, clique=10, target_edges=12000)
+        span = (1, g.t_count)
+        records = full_records(g, k, span)
+        rng = random.Random(k)
+        for _ in range(5):
+            a = rng.randint(*span)
+            sub = (a, rng.randint(a, span[1]))
+            assert full_records(g, k, sub) == inside(records, sub), sub
+
+    def test_random_graphs(self):
+        rng = random.Random(4242)
+        for _ in range(200):
+            g = random_graph(rng)
+            a = rng.randint(1, g.t_count)
+            b = rng.randint(a, g.t_count)
+            c = rng.randint(a, b)
+            sub = (c, rng.randint(c, b))
+            for k in (1, 2, 3):
+                assert full_records(g, k, sub) == \
+                    inside(full_records(g, k, (a, b)), sub), (k, (a, b), sub)
 
 
 class TestBaseline:

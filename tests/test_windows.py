@@ -1,4 +1,4 @@
-"""Per-edge minimal core windows: goldens, actives, skyline properties."""
+"""Per-edge minimal core windows: goldens, skyline properties."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from tempcore import (BudgetExceeded, EmptyGraphError, TemporalGraph,
                       brute_core_windows, build_core_times, build_core_windows,
-                      compute_active_times, temporal_kcore)
+                      temporal_kcore)
 from tempcore.synth import burst_graph, random_graph
 
 from .conftest import GOLDEN_WINDOWS, dense_edge, windows_by_label
@@ -70,37 +70,6 @@ class TestGolden:
         assert "(v1,v3,6): [2,6], [6,7]" in text
 
 
-class TestActiveTimes:
-    def test_fixture_actives(self, g14):
-        cwi = build_both(g14, 2, (1, 7))
-        two = cwi.for_edge(dense_edge(g14, 1, 2, 3))
-        assert [(w.start, w.end, w.active) for w in two] == [(2, 3, 1), (3, 5, 3)]
-        single = cwi.for_edge(dense_edge(g14, 2, 9, 1))
-        assert [(w.active) for w in single] == [1]
-        late = cwi.for_edge(dense_edge(g14, 1, 3, 6))
-        assert [(w.start, w.end, w.active) for w in late] == [(2, 6, 1), (6, 7, 3)]
-
-    def test_recompute_is_idempotent(self, g14):
-        cwi = build_both(g14, 2, (1, 7))
-        before = [(w.start, w.end, w.active) for w in cwi.all_windows()]
-        compute_active_times(cwi)
-        after = [(w.start, w.end, w.active) for w in cwi.all_windows()]
-        assert before == after
-
-    def test_active_chain_rule(self):
-        rng = random.Random(61)
-        for _ in range(25):
-            g = random_graph(rng, max_vertices=14, max_edges=60)
-            span = (1, g.t_count)
-            cwi = build_both(g, rng.randint(1, 3), span)
-            for wins in cwi.by_edge.values():
-                for i, w in enumerate(wins):
-                    if i == 0:
-                        assert w.active == span[0]
-                    else:
-                        assert w.active == wins[i - 1].start + 1
-
-
 class TestProperties:
     def test_matches_oracle_on_random_instances(self):
         rng = random.Random(777)
@@ -112,8 +81,8 @@ class TestProperties:
                 built = build_both(g, k, (a, b))
                 want = brute_core_windows(g, k, (a, b))
                 for e in g.edges:
-                    assert [(w.start, w.end, w.active) for w in built.for_edge(e)] \
-                        == [(w.start, w.end, w.active) for w in want.for_edge(e)]
+                    assert [(w.start, w.end) for w in built.for_edge(e)] \
+                        == [(w.start, w.end) for w in want.for_edge(e)]
 
     def test_skyline_shape(self):
         # strictly increasing in both endpoints, containing the edge time
@@ -124,7 +93,6 @@ class TestProperties:
             for e, wins in cwi.by_edge.items():
                 for i, w in enumerate(wins):
                     assert w.start <= e.t <= w.end
-                    assert w.active <= w.start
                     if i:
                         assert w.start > wins[i - 1].start
                         assert w.end > wins[i - 1].end
@@ -165,8 +133,8 @@ class TestProperties:
 
 
 def columns(cwi):
-    """The span's edges, then (edge, start, end, active) per window."""
-    return list(cwi.by_edge), list(zip(cwi.edge, cwi.start, cwi.end, cwi.active))
+    """The span's edges, then (edge, start, end) per window."""
+    return list(cwi.by_edge), list(zip(cwi.edge, cwi.start, cwi.end))
 
 
 @settings(max_examples=300, deadline=None)
@@ -186,8 +154,8 @@ def test_columns_match_oracle(triples, data):
 
 
 def test_index_memory_per_window():
-    # the columns hold 20 bytes per window and one reference per span
-    # edge; an object and a list per window would hold about 200
+    # the three columns hold 16 bytes per window and one reference per
+    # span edge; an object and a list per window would hold about 200
     g = burst_graph(5, timestamps=2000, clique=10, target_edges=12000)
     span = (1, g.t_count)
     ct = build_core_times(g, 2, span)

@@ -247,6 +247,33 @@ class TestCliQuery:
         assert out.read_text() == "earlier results\n"
 
 
+class TestCliRanges:
+    """Out-of-range values exit 1 with one error line, before any output."""
+
+    @pytest.mark.parametrize("argv, says", [
+        (["query", "--k", "2", "--ts", "1", "--te", "7", "--budget", "-1"],
+         "--budget"),
+        (["query", "--k", "2", "--ts", "1", "--te", "7", "--budget", "nan"],
+         "--budget"),
+        (["bench", "--budget", "-1"], "--budget"),
+        (["bench", "--reps", "0"], "--reps"),
+        (["bench", "--k-pcts", "0"], "k percentage 0"),
+        (["bench", "--t-pcts", "101"], "range percentage 101"),
+        (["verify", "--graphs", "-3"], "--graphs"),
+    ])
+    def test_rejected_before_output(self, g14_file, tmp_path, capsys, argv,
+                                    says):
+        out = tmp_path / "results.txt"
+        tail = [] if argv[0] == "verify" else ["--out", str(out)]
+        assert main(argv + ["--input", g14_file] + tail) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("tempcore: error:")
+        assert len(captured.err.splitlines()) == 1
+        assert says in captured.err
+        assert not out.exists()
+
+
 class TestCliGen:
     def test_deterministic_lines(self, g14_file, capsys):
         args = ["gen", "--input", g14_file, "--k-pcts", "100",
