@@ -3,7 +3,9 @@
 For every start time ts, a vertex's core time is the earliest end time te
 putting it inside the 2-core of the window [ts, te]. The function is
 nondecreasing in ts, so each vertex stores a handful of runs; "inf" marks
-start times from which the vertex never reaches a core again.
+start times from which the vertex never reaches a core again. The index
+keeps its runs in three flat 32-bit columns (offsets per vertex, then the
+start and the core end of each run, 0 for never).
 """
 
 from pathlib import Path
@@ -16,7 +18,10 @@ with DATA.open() as fh:
     g = parse_edge_list(fh)
 
 index = build_core_times(g, 2, (1, 7))
-print(f"index holds {index.size} runs over {g.n} vertices:\n")
+columns = (index.offsets, index.starts, index.ends)
+held = sum(col.itemsize * len(col) for col in columns)
+print(f"index holds {index.size} runs over {g.n} vertices "
+      f"in {held} bytes of columns:\n")
 print(index.to_text(g.labels))
 
 v1 = g.labels.index(1)

@@ -117,6 +117,9 @@ def _cmd_verify(args) -> int:
     fixture = _load(args.input) if args.input else None
     outcome = run_verification(fixture, graphs=args.graphs, seed=args.seed,
                                dump_path=args.dump)
+    if not outcome.checks:
+        # a verification that checked nothing is no pass
+        raise ValueError("verify made no checks: give --input or --graphs of at least 1")
     if outcome.passed:
         print(f"verify: pass ({outcome.checks} checks, 0 mismatches)")
         return 0
@@ -233,7 +236,8 @@ def _build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", help="cross-check algorithms against the oracle")
     p_verify.add_argument("--input")
     p_verify.add_argument("--graphs", type=int, default=50,
-                          help="random graphs to check (at least 0)")
+                          help="random graphs to check (at least 0; "
+                               "at least 1 without --input)")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--dump", default="verify_failure.txt")
 

@@ -3,9 +3,13 @@
 For a query (k, [Ts, Te]) and a start time ts, the core time of a vertex is
 the earliest end time te such that the vertex survives k-core peeling of the
 window [ts, te]. Per vertex that function of ts is nondecreasing, so it is
-stored run-length encoded as (from_ts, core_end) entries; a core_end of None
-means the vertex is in no core from that start time on. None is used rather
-than a sentinel integer so growing the range can never alias a real time.
+stored run-length encoded as (from_ts, core_end) runs.
+
+Layout: the index holds no object per run or per vertex. Its runs are three
+flat 32-bit columns: vertex v's runs are starts[i], ends[i] for i in
+offsets[v]:offsets[v + 1], ordered by start. An end of 0 means the vertex is
+in no core from that start time on; times are ranks from 1, so 0 never
+aliases a real time. runs and at turn 0 back into None.
 
 build_core_times computes the first start time exactly with one decremental
 sweep, then repairs later start times locally. The repair rule: a vertex's
@@ -14,13 +18,22 @@ max(earliest connecting timestamp, neighbour core time). True core times are
 the least fixpoint of that rule, and iterating it upward from the previous
 start time's values (which are valid lower bounds) converges exactly there,
 so only vertices reachable from expired edges are ever touched.
+
+The pruned push: a neighbour y reads x only through its term
+max(t_xy, ct[x]), and raising one term of a multiset moves its k-th
+smallest c only when the term crosses from <= c to > c. So when x's core
+time rises from old to new, y is pushed only if
+max(t_xy, old) <= ct[y] < max(t_xy, new).
 """
 
 from __future__ import annotations
 
 import time
+from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import Counter
+from collections.abc import Sequence
+from itertools import accumulate, repeat
 from math import inf
 
 from .graph import BudgetExceeded, TemporalGraph, WindowPeel
@@ -28,25 +41,58 @@ from .graph import BudgetExceeded, TemporalGraph, WindowPeel
 Runs = tuple[tuple[int, int | None], ...]
 
 
-@dataclass(frozen=True)
 class CoreTimeIndex:
-    k: int
-    span: tuple[int, int]
-    runs: tuple[Runs, ...]
-    size: int
+    """The core-time runs of one (k, span) query, as flat columns.
+
+    Vertex v's runs are (starts[i], ends[i]) for i in range(offsets[v],
+    offsets[v + 1]), ordered by start; an end of 0 means never.
+    """
+
+    __slots__ = ("k", "span", "offsets", "starts", "ends")
+
+    def __init__(self, k: int, span: tuple[int, int], offsets: array,
+                 starts: array, ends: array) -> None:
+        self.k = k
+        self.span = span
+        self.offsets = offsets
+        self.starts = starts
+        self.ends = ends
+
+    @classmethod
+    def from_runs(cls, k: int, span: tuple[int, int],
+                  runs: Sequence[Runs]) -> "CoreTimeIndex":
+        """An index holding the given runs per vertex (None for never)."""
+        offsets = array("i", [0])
+        starts, ends = array("i"), array("i")
+        for entries in runs:
+            for ts, ct in entries:
+                starts.append(ts)
+                ends.append(0 if ct is None else ct)
+            offsets.append(len(starts))
+        return cls(k, tuple(span), offsets, starts, ends)
+
+    @property
+    def size(self) -> int:
+        return len(self.starts)
+
+    @property
+    def runs(self) -> tuple[Runs, ...]:
+        """Per vertex, its (from_ts, core_end) runs with None for never,
+        built anew from the columns on each access."""
+        off, starts, ends = self.offsets, self.starts, self.ends
+        return tuple(tuple((starts[i], ends[i] or None) for i in range(off[v], off[v + 1]))
+                     for v in range(len(off) - 1))
 
     def at(self, u: int, ts: int) -> int | None:
         """Core time of u for start time ts (None encodes never)."""
-        if not 0 <= u < len(self.runs):
+        if not 0 <= u < len(self.offsets) - 1:
             raise ValueError(f"unknown vertex id {u}")
         lo, hi = self.span
         if not lo <= ts <= hi:
             raise ValueError(f"start time {ts} outside span [{lo},{hi}]")
-        entries = self.runs[u]
-        if not entries:
-            return None
-        i = bisect_right(entries, ts, key=lambda e: e[0]) - 1
-        return entries[i][1] if i >= 0 else None
+        first = self.offsets[u]
+        i = bisect_right(self.starts, ts, first, self.offsets[u + 1]) - 1
+        return (self.ends[i] or None) if i >= first else None
 
     def to_text(self, labels=None) -> str:
         """One line per vertex with entries, e.g. 'v3: [1,4], [2,6], [7,inf]'."""
@@ -72,19 +118,10 @@ def build_core_times(g: TemporalGraph, k: int, span: tuple[int, int],
     if not 1 <= ts_lo <= ts_hi <= g.t_count:
         raise ValueError(f"span [{ts_lo},{ts_hi}] outside 1..{g.t_count}")
     n = g.n
-
-    # range-restricted adjacency, sliced lazily: most vertices of a large
-    # graph never get repaired, so per-vertex slicing up front is waste
-    adj_cache: dict[int, list[tuple[int, int]]] = {}
-
-    def adj_in_span(v: int) -> list[tuple[int, int]]:
-        cached = adj_cache.get(v)
-        if cached is None:
-            a = g.adj[v]
-            i = bisect_left(a, (ts_lo, -1))
-            j = bisect_left(a, (ts_hi + 1, -1))
-            cached = adj_cache[v] = a[i:j]
-        return cached
+    adj = g.adj
+    # per repaired vertex, where its adjacency passes the span end; most
+    # vertices of a large graph are never repaired
+    span_end: dict[int, int] = {}
 
     def check_deadline(ts: int) -> None:
         if deadline is not None and time.perf_counter() > deadline:
@@ -92,14 +129,15 @@ def build_core_times(g: TemporalGraph, k: int, span: tuple[int, int],
 
     check_deadline(ts_lo)
     ct: list = _initial_core_times(g, k, span)
-    # only vertices in some core get a run list: one list per vertex of a
-    # large graph would make the collector walk the whole heap. Each list
-    # starts empty and grows by append, which sizes it for later runs.
-    runs: list[list[tuple[int, int | None]] | None] = [None] * n
-    for v in range(n):
-        if ct[v] is not inf:
-            runs[v] = []
-            runs[v].append((ts_lo, ct[v]))
+    # one (vertex, start, end) entry per run, in start order; no object per
+    # run or per vertex, so the build leaves the collector nothing to walk
+    run_v, run_start, run_end = array("i"), array("i"), array("i")
+    add_v, add_start, add_end = run_v.append, run_start.append, run_end.append
+    for v, c in enumerate(ct):
+        if c is not inf:
+            add_v(v)
+            add_start(ts_lo)
+            add_end(c)
 
     for ts in range(ts_lo + 1, ts_hi + 1):
         check_deadline(ts)
@@ -117,41 +155,57 @@ def build_core_times(g: TemporalGraph, k: int, span: tuple[int, int],
             old = ct[x]
             if old is inf:
                 continue
-            ax = adj_in_span(x)
-            new = _local_core_time(ax, ts, k, ct)
+            hi = span_end.get(x)
+            if hi is None:
+                hi = span_end[x] = bisect_left(adj[x], (ts_hi + 1, -1))
+            new, first = _local_core_time(adj[x], ts, hi, k, ct)
             if new > old:
                 ct[x] = new
                 changed.add(x)
-                for t2, y in ax[bisect_left(ax, (ts, -1)):]:
-                    if ct[y] is not inf and y not in in_pending:
+                for y, t in first.items():
+                    # inf never satisfies the upper bound, so no check
+                    # for neighbours already out of every core
+                    if ((t if t > old else old) <= ct[y] < (t if t > new else new)
+                            and y not in in_pending):
                         in_pending.add(y)
                         pending.append(y)
         for x in changed:
-            runs[x].append((ts, None if ct[x] is inf else ct[x]))
+            add_v(x)
+            add_start(ts)
+            add_end(0 if ct[x] is inf else ct[x])
 
-    runs_t = tuple(() if r is None else tuple(r) for r in runs)
-    return CoreTimeIndex(k, (ts_lo, ts_hi), runs_t, sum(map(len, runs_t)))
+    # stable counting sort of the runs by vertex
+    count = Counter(run_v)
+    offsets = array("i", accumulate(map(count.get, range(n), repeat(0, n)), initial=0))
+    starts = array("i", bytes(4 * len(run_v)))
+    ends = array("i", bytes(4 * len(run_v)))
+    cursor = offsets.tolist()
+    for v, s, e in zip(run_v, run_start, run_end):
+        i = cursor[v]
+        starts[i] = s
+        ends[i] = e
+        cursor[v] = i + 1
+    return CoreTimeIndex(k, (ts_lo, ts_hi), offsets, starts, ends)
 
 
-def _local_core_time(adj_v: list[tuple[int, int]], ts: int, k: int, ct: list):
-    """k-th smallest, over distinct neighbours connected at or after ts, of
-    max(first connecting time, neighbour core time)."""
-    i = bisect_left(adj_v, (ts, -1))
-    seen: set[int] = set()
-    avails = []
-    append = avails.append
-    for t, u in adj_v[i:]:
-        if u in seen:
-            continue
-        seen.add(u)
-        cu = ct[u]
-        append(t if t >= cu else cu)
-    if len(avails) < k:
-        return inf
+def _local_core_time(adj_x: list[tuple[int, int]], ts: int, hi: int, k: int,
+                     ct: list):
+    """x's core time by the repair rule, and its neighbours' terms.
+
+    adj_x[:hi] is x's adjacency up to the span end. Returns the k-th
+    smallest, over distinct neighbours y connected at or after ts, of
+    max(t_xy, ct[y]), with t_xy the first such connecting time; and the
+    dict y -> t_xy.
+    """
+    # walked backwards, each neighbour's last assignment is its earliest time
+    first = {y: t for t, y in reversed(adj_x[bisect_left(adj_x, (ts, -1), 0, hi):hi])}
+    if len(first) < k:
+        return inf, first
+    terms = [t if t >= (c := ct[y]) else c for y, t in first.items()]
     if k == 1:
-        return min(avails)
-    avails.sort()
-    return avails[k - 1]
+        return min(terms), first
+    terms.sort()
+    return terms[k - 1], first
 
 
 def _initial_core_times(g: TemporalGraph, k: int, span: tuple[int, int]) -> list:

@@ -171,8 +171,7 @@ def brute_core_times(g: TemporalGraph, k: int, span: tuple[int, int]) -> CoreTim
                 entries.append((ts, val))
             prev = val
         runs.append(tuple(entries))
-    runs_t = tuple(runs)
-    return CoreTimeIndex(k, (ts_lo, ts_hi), runs_t, sum(map(len, runs_t)))
+    return CoreTimeIndex.from_runs(k, span, runs)
 
 
 def brute_core_windows(g: TemporalGraph, k: int, span: tuple[int, int]) -> CoreWindowIndex:

@@ -36,8 +36,9 @@ def check_instance(g: TemporalGraph, k: int, span: tuple[int, int]) -> list[str]
 
     core_times = build_core_times(g, k, span)
     reference_times = brute_core_times(g, k, span)
-    if core_times.runs != reference_times.runs:
-        for v, (got, want) in enumerate(zip(core_times.runs, reference_times.runs)):
+    built_runs, reference_runs = core_times.runs, reference_times.runs
+    if built_runs != reference_runs:
+        for v, (got, want) in enumerate(zip(built_runs, reference_runs)):
             if got != want:
                 problems.append(f"core times differ at vertex {v} ({where}): "
                                 f"built {got}, oracle {want}")

@@ -159,7 +159,7 @@ def build_core_windows(g: TemporalGraph, k: int, span: tuple[int, int],
     if core_times.k != k or core_times.span != tuple(span):
         raise ValueError("core-time index was built for a different query")
     ts_lo, ts_hi = core_times.span
-    runs = core_times.runs
+    off, starts, ends = core_times.offsets, core_times.starts, core_times.ends
     edges = g.edges
     # g.edges is (t, u, v)-sorted, so the span is one contiguous slice;
     # edges outside it hold no windows and are not in the index
@@ -173,28 +173,32 @@ def build_core_windows(g: TemporalGraph, k: int, span: tuple[int, int],
             raise BudgetExceeded(f"window build exceeded its deadline at edge {block}")
         for e in edges[block:min(block + _BLOCK, hi)]:
             u, v, t = e
-            ru = runs[u]
-            rv = runs[v]
-            if not ru or not rv:
+            # iu, iv: the endpoints' current runs; eu, ev: past their last
+            iu = off[u]
+            eu = off[u + 1]
+            if iu == eu:
                 continue
-            # a, b: the endpoints' core times from pos on; nu, nv: where
-            # their next runs begin (t + 1 once none begins by t)
-            iu = iv = 0
-            a = ru[0][1]
-            b = rv[0][1]
-            nu = ru[1][0] if len(ru) > 1 else t + 1
-            nv = rv[1][0] if len(rv) > 1 else t + 1
+            iv = off[v]
+            ev = off[v + 1]
+            if iv == ev:
+                continue
+            # a, b: the endpoints' core times from pos on (0 for never);
+            # nu, nv: where their next runs begin (t + 1 once none begins by t)
+            a = ends[iu]
+            b = ends[iv]
+            nu = starts[iu + 1] if iu + 1 < eu else t + 1
+            nv = starts[iv + 1] if iv + 1 < ev else t + 1
             pos = ts_lo
-            cur = None
+            cur = 0
             while True:
-                if a is None or b is None:
-                    f = None
+                if not a or not b:
+                    f = 0
                 else:
                     f = a if a >= b else b
                     if f < t:
                         f = t
                 if f != cur:
-                    if cur is not None:
+                    if cur:
                         add_edge(e)
                         add_start(pos - 1)
                         add_end(cur)
@@ -204,13 +208,13 @@ def build_core_windows(g: TemporalGraph, k: int, span: tuple[int, int],
                     break
                 if nu == pos:
                     iu += 1
-                    a = ru[iu][1]
-                    nu = ru[iu + 1][0] if iu + 1 < len(ru) else t + 1
+                    a = ends[iu]
+                    nu = starts[iu + 1] if iu + 1 < eu else t + 1
                 if nv == pos:
                     iv += 1
-                    b = rv[iv][1]
-                    nv = rv[iv + 1][0] if iv + 1 < len(rv) else t + 1
-            if cur is not None:
+                    b = ends[iv]
+                    nv = starts[iv + 1] if iv + 1 < ev else t + 1
+            if cur:
                 add_edge(e)
                 add_start(t)
                 add_end(cur)

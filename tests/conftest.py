@@ -109,7 +109,7 @@ def label_vertices(g, vertices) -> set[int]:
 
 
 def runs_by_label(index, g) -> dict[int, tuple]:
-    return {g.labels[v]: index.runs[v] for v in range(g.n) if index.runs[v]}
+    return {g.labels[v]: runs for v, runs in enumerate(index.runs) if runs}
 
 
 def windows_by_label(index, g) -> dict[tuple[int, int, int], tuple]:

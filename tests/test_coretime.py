@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import random
 import time
+import tracemalloc
 from math import inf
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tempcore import (BudgetExceeded, brute_core_times, build_core_times,
-                      temporal_kcore)
-from tempcore.synth import random_graph
+from tempcore import (BudgetExceeded, CoreTimeIndex, EmptyGraphError,
+                      TemporalGraph, brute_core_times, build_core_times,
+                      coretime, temporal_kcore)
+from tempcore.synth import burst_graph, random_graph
 
 from .conftest import GOLDEN_CORE_TIMES, REJECTED_V3_RUNS, runs_by_label
 
@@ -75,6 +79,98 @@ class TestLookup:
         text = index.to_text(g14.labels)
         assert "v3: [1,4], [2,6], [3,7], [7,inf]" in text.splitlines()
         assert "v1: [1,3], [3,5], [6,7], [7,inf]" in text.splitlines()
+
+
+def assert_round_trip(index, g):
+    """runs, at and to_text agree with each other and with from_runs."""
+    runs = index.runs
+    assert len(runs) == g.n
+    assert index.size == sum(map(len, runs))
+    lo, hi = index.span
+    for v, entries in enumerate(runs):
+        for ts in range(lo, hi + 1):
+            before = [ct for start, ct in entries if start <= ts]
+            assert index.at(v, ts) == (before[-1] if before else None)
+    again = CoreTimeIndex.from_runs(index.k, index.span, runs)
+    assert (again.offsets, again.starts, again.ends) == \
+        (index.offsets, index.starts, index.ends)
+    assert again.runs == runs
+    assert again.to_text(g.labels) == index.to_text(g.labels)
+
+
+class TestColumns:
+    def test_round_trip_on_fixture(self, g14):
+        for k in (1, 2, 3):
+            for span in ((1, 7), (2, 5), (4, 4)):
+                assert_round_trip(build_core_times(g14, k, span), g14)
+
+    def test_round_trip_on_random_graphs(self):
+        rng = random.Random(77)
+        for _ in range(50):
+            g = random_graph(rng)
+            a = rng.randint(1, g.t_count)
+            b = rng.randint(a, g.t_count)
+            assert_round_trip(build_core_times(g, rng.randint(1, 3), (a, b)), g)
+
+    def test_never_is_zero_in_the_columns(self, g14, g14_dense):
+        index = build_core_times(g14, 2, (1, 7))
+        v9 = g14_dense[9]
+        first, last = index.offsets[v9], index.offsets[v9 + 1]
+        assert list(index.starts[first:last]) == [1, 2]
+        assert list(index.ends[first:last]) == [4, 0]
+        assert index.runs[v9] == ((1, 4), (2, None))
+
+    def test_index_memory_per_run(self):
+        # two 32-bit columns per run and one 32-bit offset per vertex; a
+        # tuple per run and one per vertex would hold about 87 bytes a run
+        g = burst_graph(5, timestamps=2000, clique=10, target_edges=12000)
+        tracemalloc.start()
+        try:
+            index = build_core_times(g, 2, (1, g.t_count))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert index.size > 20_000
+        assert held < 32 * index.size, (held, index.size)
+
+
+def test_repair_work_follows_changes(monkeypatch):
+    # calls of the local rule per core-time change on a uniform graph (500
+    # vertices, 20k edges), k=3 over [1,200]: 1.93 with the pruned push;
+    # 2.14 when the push ignores the old core time, 20.2 when every
+    # neighbour of a changed vertex is re-evaluated
+    rng = random.Random(1)
+    g = TemporalGraph.from_triples([(rng.randrange(500), rng.randrange(500),
+                                     rng.randint(1, 500)) for _ in range(20_000)])
+    calls = 0
+    rule = coretime._local_core_time
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return rule(*args)
+
+    monkeypatch.setattr(coretime, "_local_core_time", counted)
+    index = build_core_times(g, 3, (1, 200))
+    changes = index.size - sum(1 for runs in index.runs if runs)
+    assert changes > 30_000
+    assert calls <= 2 * changes, (calls, changes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
+                          st.integers(1, 6)), min_size=5, max_size=40),
+       st.data())
+def test_runs_match_oracle(triples, data):
+    try:
+        g = TemporalGraph.from_triples(triples)
+    except EmptyGraphError:
+        return
+    a = data.draw(st.integers(1, g.t_count), label="ts")
+    b = data.draw(st.integers(a, g.t_count), label="te")
+    for k in (1, 2, 3, 4):
+        built = build_core_times(g, k, (a, b))
+        assert built.runs == brute_core_times(g, k, (a, b)).runs, k
 
 
 def _as_inf(value):

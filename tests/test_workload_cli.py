@@ -303,6 +303,16 @@ class TestCliVerify:
         assert "pass" in capsys.readouterr().out
         assert not dump.exists()
 
+    def test_nothing_checked_is_an_error(self, g14_file, capsys):
+        # no fixture and no random graph: no check runs, so no pass
+        assert main(["verify", "--graphs", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("tempcore: error:")
+        assert len(captured.err.splitlines()) == 1
+        assert main(["verify", "--input", g14_file, "--graphs", "0"]) == 0
+        assert "pass (16 checks" in capsys.readouterr().out
+
     def test_corrupted_windows_fail_with_dump(self, g14, tmp_path, monkeypatch):
         dump = tmp_path / "dump.txt"
         build = tempcore.verify.build_core_windows
