@@ -25,7 +25,7 @@ print(windows.to_text(g.labels))
 
 # reconstruct the core of [2, 6] from the windows alone, then cross-check
 member = [e for e, wins in windows.by_edge.items()
-          if any(2 <= w.start and w.end <= 6 for w in wins)]
+          if any(2 <= start and end <= 6 for start, end in wins)]
 peeled = temporal_kcore(g, 2, (2, 6))
 print(f"\ncore of [2,6] via windows: {len(member)} edges; "
       f"via peeling: {peeled.size} edges; equal: {set(member) == set(peeled.edges)}")
@@ -37,13 +37,13 @@ print(f"\ncore of [2,6] via windows: {len(member)} edges; "
 edge = next(e for e, wins in windows.by_edge.items() if len(wins) > 1)
 print(f"\nwindows of ({g.labels[edge.u]},{g.labels[edge.v]},{edge.t}):")
 live_from = windows.span[0]
-for w in windows.for_edge(edge):
-    print(f"  [{w.start},{w.end}] live for start times {live_from}..{w.start}")
-    live_from = w.start + 1
+for start, end in windows.by_edge[edge]:
+    print(f"  [{start},{end}] live for start times {live_from}..{start}")
+    live_from = start + 1
 
 # the index itself holds no window objects: three flat columns with one
-# entry per window, in edge order and then by start. The views printed
-# above are made from them on demand.
+# entry per window, in edge order and then by start. by_edge, the one read
+# view used above, makes its (start, end) pairs from them on demand.
 print("\nthe first five windows as the enumerator reads them:")
 for i in range(5):
     e = windows.edge[i]

@@ -19,7 +19,7 @@ from .oracle import (BruteEnumeration, CoreSubgraph, brute_core_times,
 from .sweep import (BaselineStats, CoreResult, DeltaSink, FullSink, RecordSink,
                     ResultSink, SizesSink, SweepStats, enumerate_cores,
                     enumerate_cores_baseline, make_sink)
-from .windows import CoreWindowIndex, MinimalCoreWindow, build_core_windows
+from .windows import CoreWindowIndex, build_core_windows
 from .workload import (QuerySpec, RunReport, WorkloadError, format_record,
                        gen_queries, place_span, resolve_k, resolve_width,
                        run_query)
@@ -29,8 +29,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BaselineStats", "BruteEnumeration", "BudgetExceeded", "CoreResult",
     "CoreSubgraph", "CoreTimeIndex", "CoreWindowIndex", "DeltaSink",
-    "EmptyGraphError", "FullSink", "GraphStats", "MinimalCoreWindow",
-    "ParseError", "QuerySpec", "RecordSink", "ResultSink", "RunReport",
+    "EmptyGraphError", "FullSink", "GraphStats", "ParseError",
+    "QuerySpec", "RecordSink", "ResultSink", "RunReport",
     "SizesSink", "SweepStats", "TemporalEdge", "TemporalGraph", "TimeDomain",
     "WorkloadError", "brute_core_times", "brute_core_windows",
     "brute_enumerate", "build_core_times", "build_core_windows",

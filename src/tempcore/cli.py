@@ -153,14 +153,15 @@ def _cmd_bench(args) -> int:
         print(header, file=out)
         for k_pct, k in ks:
             for t_pct in args.t_pcts:
+                # the span gen_queries(g, [k_pct], [t_pct], 1, seed) draws
+                width = resolve_width(t_pct, g.t_count)
                 try:
-                    specs, _ = gen_queries(g, [k_pct], [t_pct], 1, args.seed)
+                    (ts, te), _ = place_span(g, k, width, random.Random(args.seed))
                 except WorkloadError as exc:
-                    print(f"bench: cell k_pct={k_pct} t_pct={t_pct}: {exc}",
+                    print(f"bench: cell k_pct={k_pct} (k={k}), t_pct={t_pct}: {exc}",
                           file=sys.stderr)
                     statuses.append("ungenerable")
                     continue
-                spec = specs[0]
                 for algo in algos:
                     cell_deadline = (time.perf_counter() + args.budget
                                      if args.budget else None)
@@ -169,20 +170,20 @@ def _cmd_bench(args) -> int:
                     for _ in range(args.reps):
                         # past the deadline, run_query raises before any work
                         try:
-                            _, report = run_query(g, k, (spec.ts, spec.te), algo,
-                                                  "count", deadline=cell_deadline)
+                            _, report = run_query(g, k, (ts, te), algo, "count",
+                                                  deadline=cell_deadline)
                         except BudgetExceeded:
                             status = "timeout"
                             break
                         reports.append(report)
                     statuses.append(status if not reports else "ok")
                     if not reports:
-                        rows.append(f"{k_pct}\t{t_pct}\t{k}\t{spec.ts}\t{spec.te}\t"
+                        rows.append(f"{k_pct}\t{t_pct}\t{k}\t{ts}\t{te}\t"
                                     f"{algo}\t0\t-\t-\t-\t-\t-\t-\t{status}")
                         continue
                     mean = lambda xs: statistics.fmean(xs)
                     rows.append(
-                        f"{k_pct}\t{t_pct}\t{k}\t{spec.ts}\t{spec.te}\t{algo}\t"
+                        f"{k_pct}\t{t_pct}\t{k}\t{ts}\t{te}\t{algo}\t"
                         f"{len(reports)}\t{reports[0].cores}\t"
                         f"{reports[0].result_size}\t"
                         f"{mean([r.t_core_times for r in reports]):.4f}\t"

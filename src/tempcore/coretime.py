@@ -32,7 +32,6 @@ import time
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from collections.abc import Sequence
 from itertools import accumulate, repeat
 from math import inf
 
@@ -57,19 +56,6 @@ class CoreTimeIndex:
         self.offsets = offsets
         self.starts = starts
         self.ends = ends
-
-    @classmethod
-    def from_runs(cls, k: int, span: tuple[int, int],
-                  runs: Sequence[Runs]) -> "CoreTimeIndex":
-        """An index holding the given runs per vertex (None for never)."""
-        offsets = array("i", [0])
-        starts, ends = array("i"), array("i")
-        for entries in runs:
-            for ts, ct in entries:
-                starts.append(ts)
-                ends.append(0 if ct is None else ct)
-            offsets.append(len(starts))
-        return cls(k, tuple(span), offsets, starts, ends)
 
     @property
     def size(self) -> int:

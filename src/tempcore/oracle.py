@@ -2,16 +2,17 @@
 
 Everything here works straight from the definitions by window peeling,
 independently of the indexed pipeline in coretime/windows/sweep, so the two
-routes can check each other. temporal_kcore peels a single window from
-scratch and is the bedrock; window_cores applies it to every window of a
-span; brute_core_times and brute_core_windows read those per-window results
-back into the index types. brute_enumerate also visits every window but
-maintains the core decrementally per start time (for a fixed start,
-membership is monotone in the end time), which keeps exhaustive scans
-feasible on larger inputs. It shares that right-shrink peel, graph's
-WindowPeel, with the first start time of the core-time index, so a
-dedicated test pins its per-window behaviour to temporal_kcore, which
-shares nothing with either.
+routes can check each other: within the package it imports from graph
+only, and it answers in plain data. temporal_kcore peels a single window
+from scratch and is the bedrock; window_cores applies it to every window of
+a span; brute_core_times and brute_core_windows read those per-window
+results off as the values CoreTimeIndex.runs and CoreWindowIndex.by_edge
+give. brute_enumerate also visits every window but maintains the core
+decrementally per start time (for a fixed start, membership is monotone in
+the end time), which keeps exhaustive scans feasible on larger inputs. It
+shares that right-shrink peel, graph's WindowPeel, with the first start
+time of the core-time index, so a dedicated test pins its per-window
+behaviour to temporal_kcore, which shares nothing with either.
 """
 
 from __future__ import annotations
@@ -20,10 +21,8 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .coretime import CoreTimeIndex
 from .graph import (BudgetExceeded, TemporalEdge, TemporalGraph, WindowPeel,
                     canonical_edges)
-from .windows import CoreWindowIndex, MinimalCoreWindow
 
 
 @dataclass(frozen=True)
@@ -149,8 +148,12 @@ def brute_enumerate(g: TemporalGraph, k: int, span: tuple[int, int],
     return BruteEnumeration(tuple(out), scanned)
 
 
-def brute_core_times(g: TemporalGraph, k: int, span: tuple[int, int]) -> CoreTimeIndex:
-    """Core-time runs read off a from-scratch peel of every window."""
+def brute_core_times(g: TemporalGraph, k: int, span: tuple[int, int]
+                     ) -> tuple[tuple[tuple[int, int | None], ...], ...]:
+    """Core-time runs read off a from-scratch peel of every window.
+
+    Per vertex, its (from_ts, core_end) runs, with None for never.
+    """
     ts_lo, ts_hi = span
     wc = window_cores(g, k, span)
     runs: list[tuple] = []
@@ -171,24 +174,27 @@ def brute_core_times(g: TemporalGraph, k: int, span: tuple[int, int]) -> CoreTim
                 entries.append((ts, val))
             prev = val
         runs.append(tuple(entries))
-    return CoreTimeIndex.from_runs(k, span, runs)
+    return tuple(runs)
 
 
-def brute_core_windows(g: TemporalGraph, k: int, span: tuple[int, int]) -> CoreWindowIndex:
+def brute_core_windows(g: TemporalGraph, k: int, span: tuple[int, int]
+                       ) -> dict[TemporalEdge, list[tuple[int, int]]]:
     """Minimal core windows by testing every window containing each edge.
 
     Membership is monotone under window growth, so a window is minimal
     exactly when the edge is a member there but in neither one-step shrink.
+    Returns each span edge, in g.edges order, with its (start, end) windows
+    ordered by start; an edge with no window maps to [].
     """
     ts_lo, ts_hi = span
     wc = window_cores(g, k, span)
     member_sets = {w: (frozenset(c.edges) if c is not None else frozenset())
                    for w, c in wc.items()}
-    by_edge: dict[TemporalEdge, list[MinimalCoreWindow]] = {}
+    by_edge: dict[TemporalEdge, list[tuple[int, int]]] = {}
     for e in g.edges:
         if not ts_lo <= e.t <= ts_hi:
             continue
-        wins: list[MinimalCoreWindow] = []
+        wins: list[tuple[int, int]] = []
         for a in range(ts_lo, e.t + 1):
             for b in range(e.t, ts_hi + 1):
                 if e not in member_sets[(a, b)]:
@@ -197,6 +203,6 @@ def brute_core_windows(g: TemporalGraph, k: int, span: tuple[int, int]) -> CoreW
                     continue
                 if b - 1 >= a and e in member_sets[(a, b - 1)]:
                     continue
-                wins.append(MinimalCoreWindow(e, a, b))
+                wins.append((a, b))
         by_edge[e] = wins
-    return CoreWindowIndex.from_windows(k, span, by_edge)
+    return by_edge

@@ -6,6 +6,9 @@ import random
 
 from .graph import EmptyGraphError, TemporalGraph
 
+_BURST_EVERY = 40
+_BURST_WIDTH = 2
+
 
 def random_edge_triples(rng: random.Random, max_vertices: int = 25,
                         max_edges: int = 120,
@@ -32,13 +35,12 @@ def random_graph(rng: random.Random, **kwargs) -> TemporalGraph:
             continue
 
 
-def burst_graph(seed: int, *, timestamps: int = 10_000, burst_every: int = 40,
-                burst_width: int = 2, clique: int = 18,
+def burst_graph(seed: int, *, timestamps: int = 10_000, clique: int = 18,
                 target_edges: int = 100_000) -> TemporalGraph:
     """Planted clique bursts on fresh vertices over a degree-2 ring background.
 
-    Every burst_every timestamps, a clique lights up with edge times drawn
-    from a burst_width + 1 wide window. Ring vertices never exceed degree 2,
+    Every _BURST_EVERY timestamps, a clique lights up with edge times drawn
+    from a _BURST_WIDTH + 1 wide window. Ring vertices never exceed degree 2,
     so for any k >= 3 the cores of a window are exactly the unions of the
     bursts it contains; the ring pads the edge count and the timestamp
     domain. k_max of the whole graph is clique - 1.
@@ -46,12 +48,12 @@ def burst_graph(seed: int, *, timestamps: int = 10_000, burst_every: int = 40,
     rng = random.Random(seed)
     triples: list[tuple[int, int, int]] = []
     next_vertex = 0
-    for anchor in range(1, timestamps - burst_width + 1, burst_every):
+    for anchor in range(1, timestamps - _BURST_WIDTH + 1, _BURST_EVERY):
         base = next_vertex
         next_vertex += clique
         for i in range(clique):
             for j in range(i + 1, clique):
-                t = rng.randint(anchor, anchor + burst_width)
+                t = rng.randint(anchor, anchor + _BURST_WIDTH)
                 triples.append((base + i, base + j, t))
     ring = target_edges - len(triples)
     if ring < 3:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 from .coretime import build_core_times
 from .graph import EmptyGraphError, TemporalGraph
@@ -35,19 +36,18 @@ def check_instance(g: TemporalGraph, k: int, span: tuple[int, int]) -> list[str]
     where = f"k={k} span=[{span[0]},{span[1]}]"
 
     core_times = build_core_times(g, k, span)
-    reference_times = brute_core_times(g, k, span)
-    built_runs, reference_runs = core_times.runs, reference_times.runs
+    built_runs, reference_runs = core_times.runs, brute_core_times(g, k, span)
     if built_runs != reference_runs:
-        for v, (got, want) in enumerate(zip(built_runs, reference_runs)):
+        for v, (got, want) in enumerate(zip_longest(built_runs, reference_runs)):
             if got != want:
                 problems.append(f"core times differ at vertex {v} ({where}): "
                                 f"built {got}, oracle {want}")
 
     core_windows = build_core_windows(g, k, span, core_times)
+    built_windows = dict(core_windows.by_edge)
     reference_windows = brute_core_windows(g, k, span)
     for e in g.edges:
-        got = [(w.start, w.end) for w in core_windows.for_edge(e)]
-        want = [(w.start, w.end) for w in reference_windows.for_edge(e)]
+        got, want = built_windows.get(e), reference_windows.get(e)
         if got != want:
             problems.append(f"minimal windows differ at edge {tuple(e)} ({where}): "
                             f"built {got}, oracle {want}")

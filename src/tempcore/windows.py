@@ -18,8 +18,8 @@ columns, `edge`, `start` and `end`, in the order of the span's edges
 references to the graph's own edges; the two times are 32-bit arrays.
 That is 16 bytes per window plus one reference per span edge: 2.3 MiB
 (tracemalloc) for the 100,035 windows of the 100k-edge burst graph with
-k=2 over its whole range. MinimalCoreWindow is a view, made on demand by
-for_edge, all_windows and by_edge.
+k=2 over its whole range. by_edge is the one read view: it gives each span
+edge's (start, end) pairs, made from the columns on demand.
 """
 
 from __future__ import annotations
@@ -28,20 +28,12 @@ import time
 from array import array
 from bisect import bisect_left
 from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import dataclass
 
 from .coretime import CoreTimeIndex
 from .graph import BudgetExceeded, TemporalEdge, TemporalGraph
 
 # span edges walked between two deadline checks
 _BLOCK = 4096
-
-
-@dataclass(frozen=True, slots=True)
-class MinimalCoreWindow:
-    edge: TemporalEdge
-    start: int
-    end: int
 
 
 class CoreWindowIndex:
@@ -67,17 +59,17 @@ class CoreWindowIndex:
 
     @classmethod
     def from_windows(cls, k: int, span: tuple[int, int],
-                     by_edge: Mapping[TemporalEdge, Sequence[MinimalCoreWindow]]
+                     by_edge: Mapping[TemporalEdge, Sequence[tuple[int, int]]]
                      ) -> "CoreWindowIndex":
-        """An index holding the given windows per edge, in the mapping's
-        order."""
+        """An index holding the given (start, end) windows per edge, in the
+        mapping's order."""
         edge: list[TemporalEdge] = []
         start, end = array("i"), array("i")
         for e, wins in by_edge.items():
-            for w in wins:
+            for a, b in wins:
                 edge.append(e)
-                start.append(w.start)
-                end.append(w.end)
+                start.append(a)
+                end.append(b)
         return cls(k, tuple(span), list(by_edge), edge, start, end)
 
     @property
@@ -85,12 +77,9 @@ class CoreWindowIndex:
         return len(self.start)
 
     @property
-    def by_edge(self) -> Mapping[TemporalEdge, list[MinimalCoreWindow]]:
-        """Read-only: span edge -> its windows, made on demand."""
+    def by_edge(self) -> Mapping[TemporalEdge, list[tuple[int, int]]]:
+        """Read-only: span edge -> its (start, end) windows, made on demand."""
         return _ByEdge(self)
-
-    def window(self, i: int) -> MinimalCoreWindow:
-        return MinimalCoreWindow(self.edge[i], self.start[i], self.end[i])
 
     def ids_by_edge(self) -> dict[TemporalEdge, range]:
         """Span edge -> the ids of its windows, found once and kept."""
@@ -106,12 +95,6 @@ class CoreWindowIndex:
             self._where = where
         return self._where
 
-    def for_edge(self, e: TemporalEdge) -> list[MinimalCoreWindow]:
-        return self.by_edge.get(e, [])
-
-    def all_windows(self) -> Iterator[MinimalCoreWindow]:
-        return map(self.window, range(self.size))
-
     def to_text(self, labels=None) -> str:
         """One line per edge holding at least one window: '(u,v,t): [s,e], ...'."""
         lines = []
@@ -122,13 +105,13 @@ class CoreWindowIndex:
             lv = labels[e.v] if labels is not None else e.v
             if lu > lv:
                 lu, lv = lv, lu
-            body = ", ".join(f"[{w.start},{w.end}]" for w in wins)
+            body = ", ".join(f"[{a},{b}]" for a, b in wins)
             lines.append(f"(v{lu},v{lv},{e.t}): {body}")
         return "\n".join(lines)
 
 
 class _ByEdge(Mapping):
-    """The windows of each span edge; len and iteration make no views."""
+    """The windows of each span edge; len and iteration make no pairs."""
 
     __slots__ = ("_index",)
 
@@ -141,8 +124,9 @@ class _ByEdge(Mapping):
     def __iter__(self) -> Iterator[TemporalEdge]:
         return iter(self._index.edges)
 
-    def __getitem__(self, e: TemporalEdge) -> list[MinimalCoreWindow]:
-        return list(map(self._index.window, self._index.ids_by_edge()[e]))
+    def __getitem__(self, e: TemporalEdge) -> list[tuple[int, int]]:
+        index = self._index
+        return [(index.start[i], index.end[i]) for i in index.ids_by_edge()[e]]
 
 
 def build_core_windows(g: TemporalGraph, k: int, span: tuple[int, int],

@@ -20,6 +20,8 @@ from .windows import build_core_windows
 
 ALGORITHMS = ("enum", "enumbase", "brute")
 MODES = ("count", "sizes", "delta", "full")
+# draws place_span makes before it gives up on a range
+MAX_ATTEMPTS = 200
 
 
 class WorkloadError(RuntimeError):
@@ -49,35 +51,35 @@ class QuerySpec:
     t_pct: int | None = None
 
 
-def place_span(g: TemporalGraph, k: int, width: int, rng: random.Random,
-               max_attempts: int = 200) -> tuple[tuple[int, int], int]:
+def place_span(g: TemporalGraph, k: int, width: int,
+               rng: random.Random) -> tuple[tuple[int, int], int]:
     """Uniformly place a width-wide range that contains at least one k-core.
 
     A draw is rejected unless the k-core of the whole range is non-empty;
     a k-core only grows with its window, so that is exactly when some
     sub-window holds one. Returns the span and the number of rejected draws;
-    raises WorkloadError when max_attempts draws all fail.
+    raises WorkloadError when MAX_ATTEMPTS draws all fail.
     """
     if not 1 <= width <= g.t_count:
         raise ValueError(f"width {width} outside 1..{g.t_count}")
     rejections = 0
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         ts0 = rng.randint(1, g.t_count - width + 1)
         span = (ts0, ts0 + width - 1)
         if temporal_kcore(g, k, span) is not None:
             return span, rejections
         rejections += 1
     raise WorkloadError(f"no width-{width} range with a {k}-core found "
-                        f"after {max_attempts} attempts")
+                        f"after {MAX_ATTEMPTS} attempts")
 
 
-def gen_queries(g: TemporalGraph, k_pcts, t_pcts, count: int, seed: int,
-                max_attempts: int = 200) -> tuple[list[QuerySpec], int]:
+def gen_queries(g: TemporalGraph, k_pcts, t_pcts, count: int,
+                seed: int) -> tuple[list[QuerySpec], int]:
     """Seeded workload generation with rejection sampling.
 
     Returns the specs plus the number of rejected draws; raises
     WorkloadError, naming the cell, when a cell cannot be satisfied within
-    max_attempts draws per query.
+    MAX_ATTEMPTS draws per query.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -91,7 +93,7 @@ def gen_queries(g: TemporalGraph, k_pcts, t_pcts, count: int, seed: int,
             width = resolve_width(t_pct, g.t_count)
             for _ in range(count):
                 try:
-                    span, rejected = place_span(g, k, width, rng, max_attempts)
+                    span, rejected = place_span(g, k, width, rng)
                 except WorkloadError as exc:
                     raise WorkloadError(
                         f"cell k_pct={k_pct} (k={k}), t_pct={t_pct}: {exc}") from None

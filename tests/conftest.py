@@ -108,8 +108,8 @@ def label_vertices(g, vertices) -> set[int]:
     return {g.labels[v] for v in vertices}
 
 
-def runs_by_label(index, g) -> dict[int, tuple]:
-    return {g.labels[v]: runs for v, runs in enumerate(index.runs) if runs}
+def runs_by_label(runs, g) -> dict[int, tuple]:
+    return {g.labels[v]: entries for v, entries in enumerate(runs) if entries}
 
 
 def windows_by_label(index, g) -> dict[tuple[int, int, int], tuple]:
@@ -119,5 +119,5 @@ def windows_by_label(index, g) -> dict[tuple[int, int, int], tuple]:
         if lu > lv:
             lu, lv = lv, lu
         if wins:
-            out[(lu, lv, e.t)] = tuple((w.start, w.end) for w in wins)
+            out[(lu, lv, e.t)] = tuple(wins)
     return out

@@ -103,7 +103,7 @@ def test_criterion_1_golden_core_times(g14):
     started = time.perf_counter()
     index = build_core_times(g14, 2, (1, 7))
     elapsed = time.perf_counter() - started
-    by_label = runs_by_label(index, g14)
+    by_label = runs_by_label(index.runs, g14)
     oracle = runs_by_label(brute_core_times(g14, 2, (1, 7)), g14)
     ok = (by_label == GOLDEN_CORE_TIMES
           and oracle == GOLDEN_CORE_TIMES

@@ -2,15 +2,31 @@
 
 from __future__ import annotations
 
+import ast
 import random
 
 import pytest
 
+import tempcore.oracle
 from tempcore import (brute_core_windows, brute_enumerate, temporal_kcore,
                       window_cores)
 from tempcore.synth import random_graph
 
 from .conftest import GOLDEN_FULL_CORES, dense_edge, label_vertices
+
+
+def test_imports_nothing_from_the_indexed_route():
+    # the oracle answers in plain data and shares no code with coretime,
+    # windows or sweep, so no fault there can hide in both routes at once
+    with open(tempcore.oracle.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+    assert {m for m in modules if m.startswith((".", "tempcore"))} == {".graph"}
 
 
 class TestTemporalKCore:
@@ -97,14 +113,14 @@ class TestBruteEnumerate:
 class TestWindowMembership:
     def test_window_membership_reconstruction(self, g14):
         # an edge is in a window's core iff one of its minimal windows fits
-        cwi = brute_core_windows(g14, 2, (1, 7))
+        windows = brute_core_windows(g14, 2, (1, 7))
         for a in range(1, 8):
             for b in range(a, 8):
                 core = temporal_kcore(g14, 2, (a, b))
                 expected = frozenset(core.edges) if core else frozenset()
                 rebuilt = frozenset(
-                    e for e, wins in cwi.by_edge.items()
-                    if any(a <= w.start and w.end <= b for w in wins))
+                    e for e, wins in windows.items()
+                    if any(a <= start and end <= b for start, end in wins))
                 assert rebuilt == expected
 
     def test_window_membership_reconstruction_random(self):
@@ -112,13 +128,13 @@ class TestWindowMembership:
         for _ in range(20):
             g = random_graph(rng, max_vertices=12, max_edges=50, max_timestamps=8)
             k = rng.randint(1, 3)
-            cwi = brute_core_windows(g, k, (1, g.t_count))
+            windows = brute_core_windows(g, k, (1, g.t_count))
             for _ in range(10):
                 a = rng.randint(1, g.t_count)
                 b = rng.randint(a, g.t_count)
                 core = temporal_kcore(g, k, (a, b))
                 expected = frozenset(core.edges) if core else frozenset()
                 rebuilt = frozenset(
-                    e for e, wins in cwi.by_edge.items()
-                    if any(a <= w.start and w.end <= b for w in wins))
+                    e for e, wins in windows.items()
+                    if any(a <= start and end <= b for start, end in wins))
                 assert rebuilt == expected

@@ -12,7 +12,7 @@ from tempcore import (BudgetExceeded, FullSink, ResultSink, SizesSink,
                       build_core_windows, canonical_edges, enumerate_cores,
                       enumerate_cores_baseline, make_sink)
 from tempcore.synth import burst_graph, random_graph
-from tempcore.windows import CoreWindowIndex, MinimalCoreWindow
+from tempcore.windows import CoreWindowIndex
 
 from .conftest import GOLDEN_14_CORES, GOLDEN_FULL_CORES, label_vertices
 
@@ -28,11 +28,8 @@ def result_map(records):
 def hand_index(span, windows):
     """A window index assembled directly from (edge, start, end) windows,
     one per edge."""
-    by_edge = {}
-    for edge, start, end in windows:
-        e = TemporalEdge(*edge)
-        by_edge[e] = [MinimalCoreWindow(e, start, end)]
-    return CoreWindowIndex.from_windows(2, span, by_edge)
+    return CoreWindowIndex.from_windows(2, span, {
+        TemporalEdge(*edge): [(start, end)] for edge, start, end in windows})
 
 
 class TestScanStart:
@@ -115,8 +112,8 @@ class TestEnumerate:
         edge = TemporalEdge(0, 1, 1)
         other = TemporalEdge(0, 2, 1)
         cwi = CoreWindowIndex.from_windows(1, (1, 3), {
-            edge: [MinimalCoreWindow(edge, 1, 2)],
-            other: [MinimalCoreWindow(other, 1, 2)],
+            edge: [(1, 2)],
+            other: [(1, 2)],
         })
         sink = FullSink()
         st = enumerate_cores(cwi, (1, 3), sink)
@@ -152,8 +149,9 @@ class TestEnumerate:
                     assert len(acc) == len(set(acc)), (ts, te)
                     want = set()
                     for e, wins in cwi.by_edge.items():
-                        live = next((w for w in wins if w.start >= ts), None)
-                        if live is not None and live.end <= te:
+                        live = next((end for start, end in wins if start >= ts),
+                                    None)
+                        if live is not None and live <= te:
                             want.add(e)
                     assert set(acc) == want, (ts, te)
                 emissions += len(sink.seen)

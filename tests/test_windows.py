@@ -41,14 +41,14 @@ class TestGolden:
             (3, 9, 4): ((1, 4),),
         }
         assert windows_by_label(cwi, g14) == expected
-        # out-of-range edges are present with empty window lists
-        assert cwi.for_edge(dense_edge(g14, 6, 7, 5)) == []
+        # out-of-range edges are not in the index
+        assert dense_edge(g14, 6, 7, 5) not in cwi.by_edge
 
     def test_no_windows_above_kmax(self, g14):
         cwi = build_both(g14, 3, (1, 7))
         assert cwi.size == 0
         assert all(not wins for wins in cwi.by_edge.values())
-        assert brute_core_windows(g14, 5, (1, 7)).size == 0
+        assert not any(brute_core_windows(g14, 5, (1, 7)).values())
 
     def test_mismatched_core_times_rejected(self, g14):
         ct = build_core_times(g14, 2, (1, 6))
@@ -79,10 +79,7 @@ class TestProperties:
             b = rng.randint(a, g.t_count)
             for k in (1, 2, 3, 4):
                 built = build_both(g, k, (a, b))
-                want = brute_core_windows(g, k, (a, b))
-                for e in g.edges:
-                    assert [(w.start, w.end) for w in built.for_edge(e)] \
-                        == [(w.start, w.end) for w in want.for_edge(e)]
+                assert dict(built.by_edge) == brute_core_windows(g, k, (a, b))
 
     def test_skyline_shape(self):
         # strictly increasing in both endpoints, containing the edge time
@@ -91,11 +88,11 @@ class TestProperties:
             g = random_graph(rng, max_vertices=15, max_edges=70)
             cwi = build_both(g, rng.randint(1, 4), (1, g.t_count))
             for e, wins in cwi.by_edge.items():
-                for i, w in enumerate(wins):
-                    assert w.start <= e.t <= w.end
+                for i, (start, end) in enumerate(wins):
+                    assert start <= e.t <= end
                     if i:
-                        assert w.start > wins[i - 1].start
-                        assert w.end > wins[i - 1].end
+                        assert start > wins[i - 1][0]
+                        assert end > wins[i - 1][1]
 
     def test_reconstructs_window_cores(self):
         rng = random.Random(333)
@@ -110,7 +107,7 @@ class TestProperties:
                 expected = frozenset(core.edges) if core else frozenset()
                 rebuilt = frozenset(
                     e for e, wins in cwi.by_edge.items()
-                    if any(a <= w.start and w.end <= b for w in wins))
+                    if any(a <= start and end <= b for start, end in wins))
                 assert rebuilt == expected
 
     def test_earliest_window_per_start_is_owned_by_a_start_edge(self):
@@ -123,18 +120,23 @@ class TestProperties:
             for k in (1, 2, 3):
                 cwi = build_both(g, k, (1, g.t_count))
                 best: dict[int, int] = {}
-                for w in cwi.all_windows():
-                    if w.start not in best or w.end < best[w.start]:
-                        best[w.start] = w.end
+                for start, end in zip(cwi.start, cwi.end):
+                    if start not in best or end < best[start]:
+                        best[start] = end
                 for s, c in best.items():
-                    assert any(w.start == s and w.end == c and e.t == s
-                               for e, wins in cwi.by_edge.items()
-                               for w in wins), (s, c)
+                    assert any(e.t == s and (s, c) in wins
+                               for e, wins in cwi.by_edge.items()), (s, c)
 
 
 def columns(cwi):
     """The span's edges, then (edge, start, end) per window."""
     return list(cwi.by_edge), list(zip(cwi.edge, cwi.start, cwi.end))
+
+
+def oracle_columns(by_edge):
+    """columns() of the oracle's edge -> windows dict."""
+    return list(by_edge), [(e, start, end) for e, wins in by_edge.items()
+                           for start, end in wins]
 
 
 @settings(max_examples=300, deadline=None)
@@ -150,7 +152,7 @@ def test_columns_match_oracle(triples, data):
     b = data.draw(st.integers(a, g.t_count), label="te")
     for k in (1, 2, 3, 4):
         built = build_both(g, k, (a, b))
-        assert columns(built) == columns(brute_core_windows(g, k, (a, b))), k
+        assert columns(built) == oracle_columns(brute_core_windows(g, k, (a, b))), k
 
 
 def test_index_memory_per_window():

@@ -8,13 +8,15 @@ import tracemalloc
 
 import pytest
 
+import tempcore.cli
 import tempcore.verify
-from tempcore import (WorkloadError, format_record, gen_queries,
+import tempcore.workload
+from tempcore import (CoreTimeIndex, WorkloadError, format_record, gen_queries,
                       parse_edge_list, place_span, resolve_k, resolve_width,
-                      run_query)
+                      run_query, stats)
 from tempcore.cli import main
 from tempcore.synth import burst_graph, random_graph
-from tempcore.verify import run_verification
+from tempcore.verify import check_instance, run_verification
 
 from .conftest import G14_TEXT
 
@@ -54,14 +56,14 @@ class TestGenQueries:
     def test_impossible_k_fails(self, g14):
         # no 3-core exists in any window of the fixture
         with pytest.raises(WorkloadError):
-            place_span(g14, 3, 7, random.Random(1), max_attempts=20)
+            place_span(g14, 3, 7, random.Random(1))
 
     def test_impossible_cell_fails_with_name(self):
         # a triangle spread over three timestamps holds no 2-core in any
         # single-timestamp window, so the narrow cell can never be satisfied
         g = parse_edge_list(io.StringIO("0 1 1\n1 2 2\n0 2 3\n"))
         with pytest.raises(WorkloadError, match=r"k_pct=100 \(k=2\), t_pct=20"):
-            gen_queries(g, [100], [20], 1, seed=1, max_attempts=20)
+            gen_queries(g, [100], [20], 1, seed=1)
 
     def test_generated_ranges_hold_cores(self, g14):
         # width 4 ranges; every accepted placement must enumerate something
@@ -313,6 +315,13 @@ class TestCliVerify:
         assert main(["verify", "--input", g14_file, "--graphs", "0"]) == 0
         assert "pass (16 checks" in capsys.readouterr().out
 
+    def test_runs_missing_a_vertex_fail(self, g14, monkeypatch):
+        # a runs view that loses the last vertex is no match for the oracle
+        runs = CoreTimeIndex.runs.fget
+        monkeypatch.setattr(CoreTimeIndex, "runs",
+                            property(lambda index: runs(index)[:-1]))
+        assert check_instance(g14, 2, (1, 7))
+
     def test_corrupted_windows_fail_with_dump(self, g14, tmp_path, monkeypatch):
         dump = tmp_path / "dump.txt"
         build = tempcore.verify.build_core_windows
@@ -359,6 +368,29 @@ class TestCliBench:
                      "--t-pcts", "100", "--reps", "1", "--budget", "1e-7"]) == 3
         out = capsys.readouterr().out
         assert "timeout" in out
+
+    def test_one_stats_call_and_one_cell_prefix(self, tmp_path, capsys,
+                                                monkeypatch):
+        # the triangle has a 2-core over [1,3] but in no width-1 range
+        path = tmp_path / "triangle.txt"
+        path.write_text("0 1 1\n1 2 2\n0 2 3\n")
+        calls = 0
+
+        def counted(g):
+            nonlocal calls
+            calls += 1
+            return stats(g)
+
+        monkeypatch.setattr(tempcore.cli, "stats", counted)
+        monkeypatch.setattr(tempcore.workload, "stats", counted)
+        assert main(["bench", "--input", str(path), "--k-pcts", "100",
+                     "--t-pcts", "20,100", "--reps", "1"]) == 0
+        captured = capsys.readouterr()
+        assert calls == 1
+        assert len(captured.out.strip().splitlines()) == 2
+        assert captured.err.strip() == (
+            "bench: cell k_pct=100 (k=2), t_pct=20: no width-1 range with a "
+            "2-core found after 200 attempts")
 
     def test_zero_budget_is_unlimited(self, g14_file, capsys):
         # as in query, --budget 0 sets no deadline
