@@ -41,11 +41,13 @@ for start, end in windows.by_edge[edge]:
     print(f"  [{start},{end}] live for start times {live_from}..{start}")
     live_from = start + 1
 
-# the index itself holds no window objects: three flat columns with one
-# entry per window, in edge order and then by start. by_edge, the one read
-# view used above, makes its (start, end) pairs from them on demand.
+# the index itself holds no window objects: three flat 32-bit columns with
+# one entry per window, in edge id order and then by start. An edge id is
+# the edge's position in g.edges. by_edge, the one read view used above,
+# makes its (start, end) pairs from them on demand.
 print("\nthe first five windows as the enumerator reads them:")
 for i in range(5):
-    e = windows.edge[i]
-    print(f"  window {i}: edge ({g.labels[e.u]},{g.labels[e.v]},{e.t}) "
+    e = g.edges[windows.edge[i]]
+    print(f"  window {i}: edge id {windows.edge[i]} = "
+          f"({g.labels[e.u]},{g.labels[e.v]},{e.t}) "
           f"start={windows.start[i]} end={windows.end[i]}")

@@ -104,7 +104,8 @@ def build_core_times(g: TemporalGraph, k: int, span: tuple[int, int],
     if not 1 <= ts_lo <= ts_hi <= g.t_count:
         raise ValueError(f"span [{ts_lo},{ts_hi}] outside 1..{g.t_count}")
     n = g.n
-    adj = g.adj
+    off, adj_t, adj_y = g.adj_off, g.adj_t, g.adj_y
+    edge_u, edge_v, t_off = g.edge_u, g.edge_v, g.t_off
     # per repaired vertex, where its adjacency passes the span end; most
     # vertices of a large graph are never repaired
     span_end: dict[int, int] = {}
@@ -129,8 +130,8 @@ def build_core_times(g: TemporalGraph, k: int, span: tuple[int, int],
         check_deadline(ts)
         pending: list[int] = []
         in_pending: set[int] = set()
-        for u, v, _ in g.edges_at[ts - 1]:
-            for x in (u, v):
+        for i in range(t_off[ts - 1], t_off[ts]):
+            for x in (edge_u[i], edge_v[i]):
                 if ct[x] is not inf and x not in in_pending:
                     in_pending.add(x)
                     pending.append(x)
@@ -143,8 +144,8 @@ def build_core_times(g: TemporalGraph, k: int, span: tuple[int, int],
                 continue
             hi = span_end.get(x)
             if hi is None:
-                hi = span_end[x] = bisect_left(adj[x], (ts_hi + 1, -1))
-            new, first = _local_core_time(adj[x], ts, hi, k, ct)
+                hi = span_end[x] = bisect_left(adj_t, ts_hi + 1, off[x], off[x + 1])
+            new, first = _local_core_time(adj_t, adj_y, off[x], hi, ts, k, ct)
             if new > old:
                 ct[x] = new
                 changed.add(x)
@@ -174,17 +175,18 @@ def build_core_times(g: TemporalGraph, k: int, span: tuple[int, int],
     return CoreTimeIndex(k, (ts_lo, ts_hi), offsets, starts, ends)
 
 
-def _local_core_time(adj_x: list[tuple[int, int]], ts: int, hi: int, k: int,
-                     ct: list):
+def _local_core_time(adj_t: list[int], adj_y: list[int], lo: int, hi: int,
+                     ts: int, k: int, ct: list):
     """x's core time by the repair rule, and its neighbours' terms.
 
-    adj_x[:hi] is x's adjacency up to the span end. Returns the k-th
-    smallest, over distinct neighbours y connected at or after ts, of
-    max(t_xy, ct[y]), with t_xy the first such connecting time; and the
-    dict y -> t_xy.
+    adj_t[lo:hi], adj_y[lo:hi] are x's adjacency up to the span end.
+    Returns the k-th smallest, over distinct neighbours y connected at or
+    after ts, of max(t_xy, ct[y]), with t_xy the first such connecting
+    time; and the dict y -> t_xy.
     """
+    lo = bisect_left(adj_t, ts, lo, hi)
     # walked backwards, each neighbour's last assignment is its earliest time
-    first = {y: t for t, y in reversed(adj_x[bisect_left(adj_x, (ts, -1), 0, hi):hi])}
+    first = dict(zip(reversed(adj_y[lo:hi]), reversed(adj_t[lo:hi])))
     if len(first) < k:
         return inf, first
     terms = [t if t >= (c := ct[y]) else c for y, t in first.items()]

@@ -1,18 +1,35 @@
-"""Immutable undirected temporal graphs with compressed integer timestamps.
+"""Immutable undirected temporal graphs held as integer columns.
 
-An edge is a triple (u, v, t). Vertex ids are remapped to dense integers in
-order of first appearance; timestamps are compressed to ranks 1..t_count
-preserving their order. Parallel edges between one vertex pair at different
-times are kept, exact duplicate triples collapse to one, and endpoints are
-stored canonically with u < v. Degree, wherever cores are computed, counts
-distinct neighbours inside the window at hand.
+An edge is a triple (u, v, t). Vertex ids are dense integers numbered in
+ascending order of original id, so u < v exactly when label u < label v;
+timestamps are compressed to ranks 1..t_count preserving their order.
+Parallel edges between one vertex pair at different times are kept, exact
+duplicate triples collapse to one, and endpoints are stored canonically with
+u < v. Degree, wherever cores are computed, counts distinct neighbours
+inside the window at hand.
+
+Layout: an edge is its id, its position in (t, u, v) order, so ids sort
+canonically and the ids of times lo..hi are one range, ids_in(lo, hi).
+edge_u, edge_v and edge_t are the edges' columns. Adjacency is CSR: vertex
+x's incident (t, neighbour) pairs are adj_t[i], adj_y[i] for i in
+adj_off[x]:adj_off[x + 1], sorted by (t, neighbour). The columns are lists
+whose entries share one int object per vertex id and per rank, so the hot
+loops read them without making ints; the offsets are 32-bit arrays. The
+100k-edge burst graph of acceptance criterion 8 holds 8.9 MiB, 93 bytes
+per edge (tracemalloc), against 29.6 MiB for a TemporalEdge and two
+adjacency tuples per edge. edges makes TemporalEdges on access.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from array import array
+from bisect import bisect_left, bisect_right
+from collections import Counter
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 
@@ -79,30 +96,64 @@ class TemporalGraph:
 
     Attributes:
         n: vertex count (ids are 0..n-1).
-        edges: every TemporalEdge, sorted by (t, u, v).
-        adj: per vertex, (t, neighbour) pairs sorted ascending.
-        edges_at: edges bucketed by compressed timestamp (index 0 unused).
+        labels: dense id -> original input id, ascending.
         time_domain: raw <-> compressed timestamp mapping.
-        labels: dense id -> original input id.
+        edge_u, edge_v, edge_t: per edge id, its endpoints (u < v) and
+            compressed time; ids are in (t, u, v) order.
+        t_off: the ids of time t are t_off[t]:t_off[t + 1].
+        adj_off, adj_t, adj_y: CSR adjacency; vertex x's (t, neighbour)
+            pairs, sorted, are at adj_off[x]:adj_off[x + 1].
+        edges: edge id -> TemporalEdge, made on access.
     """
 
-    __slots__ = ("n", "edges", "adj", "edges_at", "time_domain", "labels")
+    __slots__ = ("n", "labels", "time_domain", "edge_u", "edge_v", "edge_t",
+                 "t_off", "adj_off", "adj_t", "adj_y")
 
-    def __init__(self, n, edges, adj, edges_at, time_domain, labels):
+    def __init__(self, labels: list[int], time_domain: TimeDomain,
+                 edge_u: list[int], edge_v: list[int], edge_t: list[int]) -> None:
+        """Index edge columns already in (t, u, v) order, without duplicates."""
+        n = len(labels)
+        m = len(edge_u)
         self.n = n
-        self.edges = edges
-        self.adj = adj
-        self.edges_at = edges_at
-        self.time_domain = time_domain
         self.labels = labels
+        self.time_domain = time_domain
+        self.edge_u = edge_u
+        self.edge_v = edge_v
+        self.edge_t = edge_t
+        self.t_off = array("i", [bisect_left(edge_t, t)
+                                 for t in range(time_domain.t_count + 2)])
+        degree = Counter(chain(edge_u, edge_v))
+        adj_off = array("i", accumulate(map(degree.__getitem__, range(n)), initial=0))
+        adj_t = [0] * (2 * m)
+        adj_y = [0] * (2 * m)
+        cursor = adj_off.tolist()
+        # filling in (t, u, v) edge order leaves each vertex's pairs sorted:
+        # at one t, x's neighbours u < x come from edges (u, x), ordered by
+        # u, before its neighbours v > x from edges (x, v)
+        for u, v, t in zip(edge_u, edge_v, edge_t):
+            i = cursor[u]
+            adj_t[i] = t
+            adj_y[i] = v
+            cursor[u] = i + 1
+            i = cursor[v]
+            adj_t[i] = t
+            adj_y[i] = u
+            cursor[v] = i + 1
+        self.adj_off = adj_off
+        self.adj_t = adj_t
+        self.adj_y = adj_y
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.edge_u)
 
     @property
     def t_count(self) -> int:
         return self.time_domain.t_count
+
+    @property
+    def edges(self) -> "EdgeView":
+        return EdgeView(self)
 
     @classmethod
     def from_triples(cls, triples: Iterable[tuple[int, int, int]]) -> "TemporalGraph":
@@ -111,40 +162,41 @@ class TemporalGraph:
         Self-loops are dropped, endpoints canonicalized, duplicate triples
         collapsed, timestamps compressed.
         """
-        dense: dict[int, int] = {}
-        labels: list[int] = []
-        # a dict rather than a set: insertion order keeps the input's time
-        # order, which makes the edge sort below cheap
-        kept: dict[tuple[int, int, int], None] = {}
-        for u, v, t in triples:
-            if u == v:
-                continue
-            du = dense.get(u)
-            if du is None:
-                du = dense[u] = len(labels)
-                labels.append(u)
-            dv = dense.get(v)
-            if dv is None:
-                dv = dense[v] = len(labels)
-                labels.append(v)
-            kept[(du, dv, t) if du < dv else (dv, du, t)] = None
-        if not kept:
+        # raw (t, lo, hi) keys sort as the ids will, since the numbering of
+        # vertices and times keeps their order; a dict keeps the input's
+        # time order, which makes the sort cheap
+        keys = sorted(dict.fromkeys((t, u, v) if u < v else (t, v, u)
+                                    for u, v, t in triples if u != v))
+        if not keys:
             raise EmptyGraphError("no edges remain after normalization")
-        domain = compress_timestamps(t for (_, _, t) in kept)
-        rank = domain.rank_of_raw
-        edges = [TemporalEdge(a, b, rank[t]) for (a, b, t) in kept]
-        edges.sort(key=lambda e: (e[2], e[0], e[1]))
-        n = len(labels)
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        edges_at: list[list[TemporalEdge]] = [[] for _ in range(domain.t_count + 1)]
-        # appending in (t, u, v) edge order leaves each adjacency sorted:
-        # at one t, x's neighbours u < x come from edges (u, x), ordered
-        # by u, before its neighbours v > x from edges (x, v)
-        for e in edges:
-            adj[e.u].append((e.t, e.v))
-            adj[e.v].append((e.t, e.u))
-            edges_at[e.t].append(e)
-        return cls(n, edges, adj, edges_at, domain, labels)
+        ts, us, vs = (list(map(itemgetter(i), keys)) for i in range(3))
+        del keys
+        labels = sorted(set(us).union(vs))
+        domain = compress_timestamps(ts)
+        dense = dict(zip(labels, range(len(labels))))
+        return cls(labels, domain, list(map(dense.__getitem__, us)),
+                   list(map(dense.__getitem__, vs)),
+                   list(map(domain.rank_of_raw.__getitem__, ts)))
+
+    def ids_in(self, lo: int, hi: int) -> range:
+        """The ids of the edges with lo <= t <= hi."""
+        return range(self.t_off[lo], self.t_off[hi + 1])
+
+    def edges_in(self, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
+        """(u, v, t) of each edge with lo <= t <= hi, in id order."""
+        a, b = self.t_off[lo], self.t_off[hi + 1]
+        return zip(self.edge_u[a:b], self.edge_v[a:b], self.edge_t[a:b])
+
+    def edge_id(self, u: int, v: int, t: int) -> int:
+        """The id of edge (u, v, t), u < v; ValueError when there is none."""
+        if 1 <= t <= self.t_count:
+            lo, hi = self.t_off[t], self.t_off[t + 1]
+            lo = bisect_left(self.edge_u, u, lo, hi)
+            hi = bisect_right(self.edge_u, u, lo, hi)
+            i = bisect_left(self.edge_v, v, lo, hi)
+            if i < hi and self.edge_v[i] == v:
+                return i
+        raise ValueError(f"no edge ({u}, {v}, {t})")
 
     def neighbors_in(self, u: int, lo: int, hi: int) -> list[tuple[int, int]]:
         """Incident (neighbour, t) pairs with lo <= t <= hi, ordered by t."""
@@ -152,10 +204,36 @@ class TemporalGraph:
             raise ValueError(f"unknown vertex id {u}")
         if not 1 <= lo <= hi <= self.t_count:
             raise ValueError(f"window [{lo},{hi}] outside 1..{self.t_count}")
-        a = self.adj[u]
-        i = bisect_left(a, (lo, -1))
-        j = bisect_left(a, (hi + 1, -1))
-        return [(v, t) for (t, v) in a[i:j]]
+        adj_t = self.adj_t
+        i = bisect_left(adj_t, lo, self.adj_off[u], self.adj_off[u + 1])
+        j = bisect_right(adj_t, hi, i, self.adj_off[u + 1])
+        return list(zip(self.adj_y[i:j], adj_t[i:j]))
+
+
+class EdgeView(Sequence):
+    """A graph's edges by id, each made as a TemporalEdge on access."""
+
+    __slots__ = ("_g",)
+
+    def __init__(self, g: TemporalGraph) -> None:
+        self._g = g
+
+    def __len__(self) -> int:
+        return len(self._g.edge_u)
+
+    def __getitem__(self, i):
+        g = self._g
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return TemporalEdge(g.edge_u[i], g.edge_v[i], g.edge_t[i])
+
+    def __iter__(self) -> Iterator[TemporalEdge]:
+        g = self._g
+        return map(TemporalEdge, g.edge_u, g.edge_v, g.edge_t)
+
+    def index(self, e) -> int:
+        """The id of edge e."""
+        return self._g.edge_id(*e)
 
 
 def parse_edge_list(stream: Iterable[str]) -> TemporalGraph:
@@ -194,19 +272,22 @@ class WindowPeel:
     k-core again.
     """
 
-    __slots__ = ("k", "nbr", "edges_at")
+    __slots__ = ("k", "nbr", "g")
 
     def __init__(self, g: TemporalGraph, k: int, lo: int, hi: int) -> None:
         nbr: dict[int, dict[int, int]] = {}
-        for t in range(lo, hi + 1):
-            for u, v, _ in g.edges_at[t]:
-                du = nbr.setdefault(u, {})
-                du[v] = du.get(v, 0) + 1
-                dv = nbr.setdefault(v, {})
-                dv[u] = dv.get(u, 0) + 1
+        edge_u, edge_v = g.edge_u, g.edge_v
+        # indexed, not sliced: a slice of the whole range would copy it
+        for i in g.ids_in(lo, hi):
+            u = edge_u[i]
+            v = edge_v[i]
+            du = nbr.setdefault(u, {})
+            du[v] = du.get(v, 0) + 1
+            dv = nbr.setdefault(v, {})
+            dv[u] = dv.get(u, 0) + 1
         self.k = k
         self.nbr = nbr
-        self.edges_at = g.edges_at
+        self.g = g
         self._peel([v for v, d in nbr.items() if len(d) < k])
 
     def _peel(self, queue: list[int]) -> list[int]:
@@ -233,7 +314,7 @@ class WindowPeel:
         nbr = self.nbr
         k1 = self.k - 1
         queue = []
-        for u, v, _ in self.edges_at[te]:
+        for u, v, _ in self.g.edges_in(te, te):
             du = nbr.get(u)
             if du is None:
                 continue
@@ -257,45 +338,47 @@ class WindowPeel:
 def static_coreness(g: TemporalGraph, window: tuple[int, int]) -> list[int]:
     """Coreness of every vertex in the window's distinct-neighbour projection.
 
-    Ascending-degree peeling; vertices without window edges get 0.
+    One bin-sort peel over the CSR adjacency (Batagelj and Zaversnik, 2003):
+    vertices sit in an array ordered by current degree, with the start of
+    each degree's bin, and taking the lowest vertex out moves each
+    higher-degree neighbour down one bin in O(1). Vertices without window
+    edges get 0.
     """
     lo, hi = window
     if not 1 <= lo <= hi <= g.t_count:
         raise ValueError(f"window [{lo},{hi}] outside 1..{g.t_count}")
-    nbrs: dict[int, set[int]] = {}
-    for t in range(lo, hi + 1):
-        for u, v, _ in g.edges_at[t]:
-            nbrs.setdefault(u, set()).add(v)
-            nbrs.setdefault(v, set()).add(u)
-    core = [0] * g.n
-    if not nbrs:
-        return core
-    cur = {v: len(s) for v, s in nbrs.items()}
-    verts = sorted(cur, key=cur.__getitem__)
-    pos = {v: i for i, v in enumerate(verts)}
-    max_deg = cur[verts[-1]]
-    counts = [0] * (max_deg + 1)
-    for v in verts:
-        counts[cur[v]] += 1
-    bin_start = [0] * (max_deg + 1)
-    acc = 0
-    for d in range(max_deg + 1):
-        bin_start[d] = acc
-        acc += counts[d]
-    for i in range(len(verts)):
-        v = verts[i]
-        core[v] = cur[v]
-        for u in nbrs[v]:
-            if cur[u] > cur[v]:
-                du = cur[u]
-                pu, pw = pos[u], bin_start[du]
-                w = verts[pw]
-                if u is not w:
-                    verts[pu], verts[pw] = w, u
-                    pos[u], pos[w] = pw, pu
-                bin_start[du] += 1
-                cur[u] = du - 1
-    return core
+    n, off, adj_t, adj_y = g.n, g.adj_off, g.adj_t, g.adj_y
+    if (lo, hi) == (1, g.t_count):
+        starts, stops = off[:-1], off[1:]
+    else:
+        starts = [bisect_left(adj_t, lo, off[v], off[v + 1]) for v in range(n)]
+        stops = [bisect_right(adj_t, hi, a, off[v + 1]) for v, a in enumerate(starts)]
+    deg = [len(set(adj_y[a:b])) for a, b in zip(starts, stops)]
+    # vert holds the vertices by degree, bin_start[d] where degree d begins
+    count = Counter(deg)
+    bin_start = list(accumulate(map(count.__getitem__, range(max(deg))), initial=0))
+    vert = sorted(range(n), key=deg.__getitem__)
+    pos = [0] * n
+    for i, v in enumerate(vert):
+        pos[v] = i
+    for v in vert:
+        dv = deg[v]
+        a, b = starts[v], stops[v]
+        for u in (set(adj_y[a:b]) if b - a > 1 else adj_y[a:b]):
+            du = deg[u]
+            if du > dv:
+                # swap u with the first vertex of its bin, then shrink the bin
+                pw = bin_start[du]
+                w = vert[pw]
+                if u != w:
+                    pu = pos[u]
+                    vert[pu] = w
+                    pos[w] = pu
+                    vert[pw] = u
+                    pos[u] = pw
+                bin_start[du] = pw + 1
+                deg[u] = du - 1
+    return deg
 
 
 @dataclass(frozen=True)

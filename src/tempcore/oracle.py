@@ -48,10 +48,9 @@ def temporal_kcore(g: TemporalGraph, k: int, window: tuple[int, int]) -> CoreSub
     if not 1 <= lo <= hi <= g.t_count:
         raise ValueError(f"window [{lo},{hi}] outside 1..{g.t_count}")
     nbrs: dict[int, set[int]] = {}
-    for t in range(lo, hi + 1):
-        for u, v, _ in g.edges_at[t]:
-            nbrs.setdefault(u, set()).add(v)
-            nbrs.setdefault(v, set()).add(u)
+    for u, v, _ in g.edges_in(lo, hi):
+        nbrs.setdefault(u, set()).add(v)
+        nbrs.setdefault(v, set()).add(u)
     queue = [v for v, s in nbrs.items() if len(s) < k]
     while queue:
         v = queue.pop()
@@ -67,12 +66,8 @@ def temporal_kcore(g: TemporalGraph, k: int, window: tuple[int, int]) -> CoreSub
                 queue.append(u)
     if not nbrs:
         return None
-    core_edges = []
-    for t in range(lo, hi + 1):
-        for e in g.edges_at[t]:
-            if e.u in nbrs and e.v in nbrs:
-                core_edges.append(e)
-    edges = tuple(core_edges)
+    edges = tuple(TemporalEdge(u, v, t) for u, v, t in g.edges_in(lo, hi)
+                  if u in nbrs and v in nbrs)
     return CoreSubgraph(frozenset(nbrs), edges, (edges[0].t, edges[-1].t))
 
 
@@ -105,8 +100,10 @@ def brute_enumerate(g: TemporalGraph, k: int, span: tuple[int, int],
     seen: set[frozenset] = set()
     out: list[CoreSubgraph] = []
     scanned = 0
-    edges_at = g.edges_at
-    adj = g.adj
+    off, adj_t, adj_y, t_off = g.adj_off, g.adj_t, g.adj_y, g.t_off
+    # one TemporalEdge per span edge, shared by every core that holds it
+    first = t_off[ts_lo]
+    span_edges = list(map(TemporalEdge._make, g.edges_in(ts_lo, ts_hi)))
     for ts in range(ts_lo, ts_hi + 1):
         scanned += ts_hi - ts + 1
         if deadline is not None and time.perf_counter() > deadline:
@@ -115,11 +112,8 @@ def brute_enumerate(g: TemporalGraph, k: int, span: tuple[int, int],
         nbr = peel.nbr
         if not nbr:
             continue
-        live_edges: set[TemporalEdge] = set()
-        for t in range(ts, ts_hi + 1):
-            for e in edges_at[t]:
-                if e.u in nbr and e.v in nbr:
-                    live_edges.add(e)
+        live_edges = {e for e in span_edges[t_off[ts] - first:]
+                      if e.u in nbr and e.v in nbr}
         changed = True
         for te in range(ts_hi, ts - 1, -1):
             # nbr and live_edges now describe the core of [ts, te]
@@ -133,29 +127,30 @@ def brute_enumerate(g: TemporalGraph, k: int, span: tuple[int, int],
             if not nbr:
                 break
             changed = False
-            for e in edges_at[te]:
+            for e in span_edges[t_off[te] - first:t_off[te + 1] - first]:
                 if e.u in nbr and e.v in nbr:
                     live_edges.discard(e)
                     changed = True
             for w in peel.drop(te):
-                aw = adj[w]
-                i = bisect_left(aw, (ts, -1))
-                j = bisect_left(aw, (te, -1))
-                for t2, x in aw[i:j]:
+                i = bisect_left(adj_t, ts, off[w], off[w + 1])
+                j = bisect_left(adj_t, te, i, off[w + 1])
+                for t2, x in zip(adj_t[i:j], adj_y[i:j]):
                     live_edges.discard(
                         TemporalEdge(w, x, t2) if w < x else TemporalEdge(x, w, t2))
     out.sort(key=lambda c: c.tti)
     return BruteEnumeration(tuple(out), scanned)
 
 
-def brute_core_times(g: TemporalGraph, k: int, span: tuple[int, int]
+def brute_core_times(g: TemporalGraph, k: int, span: tuple[int, int], cores=None
                      ) -> tuple[tuple[tuple[int, int | None], ...], ...]:
     """Core-time runs read off a from-scratch peel of every window.
 
-    Per vertex, its (from_ts, core_end) runs, with None for never.
+    Per vertex, its (from_ts, core_end) runs, with None for never. cores,
+    when given, is window_cores(g, k, span), computed once for several
+    readers.
     """
     ts_lo, ts_hi = span
-    wc = window_cores(g, k, span)
+    wc = window_cores(g, k, span) if cores is None else cores
     runs: list[tuple] = []
     for v in range(g.n):
         entries: list[tuple[int, int | None]] = []
@@ -177,23 +172,23 @@ def brute_core_times(g: TemporalGraph, k: int, span: tuple[int, int]
     return tuple(runs)
 
 
-def brute_core_windows(g: TemporalGraph, k: int, span: tuple[int, int]
+def brute_core_windows(g: TemporalGraph, k: int, span: tuple[int, int], cores=None
                        ) -> dict[TemporalEdge, list[tuple[int, int]]]:
     """Minimal core windows by testing every window containing each edge.
 
     Membership is monotone under window growth, so a window is minimal
     exactly when the edge is a member there but in neither one-step shrink.
     Returns each span edge, in g.edges order, with its (start, end) windows
-    ordered by start; an edge with no window maps to [].
+    ordered by start; an edge with no window maps to []. cores is as for
+    brute_core_times.
     """
     ts_lo, ts_hi = span
-    wc = window_cores(g, k, span)
+    wc = window_cores(g, k, span) if cores is None else cores
     member_sets = {w: (frozenset(c.edges) if c is not None else frozenset())
                    for w, c in wc.items()}
     by_edge: dict[TemporalEdge, list[tuple[int, int]]] = {}
-    for e in g.edges:
-        if not ts_lo <= e.t <= ts_hi:
-            continue
+    for i in g.ids_in(ts_lo, ts_hi):
+        e = g.edges[i]
         wins: list[tuple[int, int]] = []
         for a in range(ts_lo, e.t + 1):
             for b in range(e.t, ts_hi + 1):

@@ -1,11 +1,12 @@
 """Enumerators for all distinct temporal k-cores of a span.
 
-Both read the window index's flat columns (edge, start, end; 16 bytes per
-window, see windows) by window id and make no window objects.
+Both read the window index's flat columns (edge id, start, end; 12 bytes
+per window, see windows) by window id and make no window objects, and both
+accumulate edge ids.
 
 enumerate_cores walks start times once. The live minimal windows are held
-in groups keyed by end time, each group mapping an edge to its window id.
-At start time ts an edge's live window is its first window starting no
+in groups keyed by end time, each group mapping an edge id to its window
+id. At start time ts an edge's live window is its first window starting no
 earlier than ts: its first window is live from the span start, and when a
 window expires (ts passes its start) the edge's next window takes its
 place, so at any moment each edge contributes at most one window. For a
@@ -22,18 +23,19 @@ by the scan of start a at end b, and often again by scans of earlier
 starts; the baseline emits it only at scan a, so it needs no table of cores
 seen and emits in (ts, te) order.
 
-Both hand each core to a sink as (ts, te, accumulator, prev_len). A
-ResultSink counts; a RecordSink reports no edges (sizes), the core's new
-edges (delta) or all its edges (full), mapped once per edge to a sort key
-and a value, in key order. The library sinks keep CoreResult records of
-the edges in (t, u, v) order; workload's stream writer is a RecordSink
-that writes result lines instead.
+Both bind the sink to the index's edges, then hand it each core as (ts,
+te, accumulated ids, prev_len). A ResultSink counts; a RecordSink reports
+no edges (sizes), the core's new edges (delta) or all its edges (full),
+mapped once per edge id to a value, in id order, which is (t, u, v) order.
+The library sinks keep CoreResult records of TemporalEdges; workload's
+stream writer is a RecordSink whose values are result-line texts.
 """
 
 from __future__ import annotations
 
 import time
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .graph import BudgetExceeded, TemporalEdge
@@ -49,15 +51,15 @@ class CoreResult:
 
 
 class ResultSink:
-    """Receives (tti_ts, tti_te, accumulated edges) per emitted core.
+    """Receives (tti_ts, tti_te, accumulated edge ids) per emitted core.
 
     Every enumerator (the sweep, the baseline, and run_query for brute)
-    calls emit in (ts, te) ascending order with a strictly growing
-    accumulator per ts; prev_len marks the accumulator length at the
-    previous emission of the same start time, so it is 0 exactly at the
-    first emission of a start time and acc[prev_len:] are the core's new
-    edges. Used as is, it counts; RecordSink decides what every other mode
-    reports for a core.
+    first calls bind with the edges its ids index, then calls emit in
+    (ts, te) ascending order with a strictly growing accumulator per ts;
+    prev_len marks the accumulator length at the previous emission of the
+    same start time, so it is 0 exactly at the first emission of a start
+    time and acc[prev_len:] are the core's new edges. Used as is, it counts;
+    RecordSink decides what every other mode reports for a core.
     """
 
     mode = "count"
@@ -67,71 +69,70 @@ class ResultSink:
         self.result_size = 0
         self.records: list[CoreResult] | None = None
 
-    def emit(self, ts: int, te: int, acc: list[TemporalEdge], prev_len: int) -> None:
+    def bind(self, edges: Sequence[TemporalEdge]) -> None:
+        """edges[i] is the edge of id i in the accumulators to come."""
+
+    def emit(self, ts: int, te: int, acc: list[int], prev_len: int) -> None:
         self.cores += 1
         self.result_size += len(acc)
 
 
-def _edge_key(e: TemporalEdge) -> tuple[tuple[int, int, int], TemporalEdge]:
-    u, v, t = e
-    return (t, u, v), e
-
-
 class EdgeMemo(dict):
-    """edge -> item(edge), a (key, value) pair built on the first lookup.
+    """edge id -> value(id), built on the first lookup.
 
     A repeat lookup is a plain dict lookup that calls no Python code.
     """
 
-    def __init__(self, item) -> None:
+    def __init__(self, value) -> None:
         super().__init__()
-        self.item = item
+        self.value = value
 
-    def __missing__(self, e: TemporalEdge):
-        pair = self[e] = self.item(e)
-        return pair
-
-    def sorted_values(self, edges) -> list:
-        """The edges' values in key order (keys are distinct per edge)."""
-        return [value for _, value in sorted(map(self.__getitem__, edges))]
+    def __missing__(self, i: int):
+        value = self[i] = self.value(i)
+        return value
 
 
 class RecordSink(ResultSink):
     """Reports each core's edges as the mode decides, through record.
 
     sizes reports no edges; delta the core's new edges, and full all of the
-    start time's edges so far, both as the values of item(e) -> (key,
-    value) in key order. The default item keys an edge by (t, u, v) and
-    gives the edge itself. full keeps the start time's values as one sorted
-    run, so an emission inserts only its new edges.
+    start time's edges so far, both as value(i) per edge id i, in id order.
+    Without a value function, an edge's value is its TemporalEdge, taken
+    from the bound edges. full keeps the start time's ids as one sorted
+    run, and their values as a run in step with it, so an emission inserts
+    only its new edges.
     """
 
-    def __init__(self, mode: str, item=_edge_key) -> None:
+    def __init__(self, mode: str, value=None) -> None:
         if mode not in ("sizes", "delta", "full"):
             raise ValueError(f"unknown sink mode {mode!r}")
         super().__init__()
         self.mode = mode
         self.records = []
-        self._items = EdgeMemo(item)
-        self._keys: list = []
+        self._value = value
+        self._values = EdgeMemo(value)
+        self._ids: list[int] = []
         self._run: list = []
+
+    def bind(self, edges):
+        if self._value is None:
+            self._values = EdgeMemo(edges.__getitem__)
 
     def emit(self, ts, te, acc, prev_len):
         super().emit(ts, te, acc, prev_len)
         if self.mode == "sizes":
             values = None
         elif self.mode == "delta":
-            values = self._items.sorted_values(acc[prev_len:])
+            values = list(map(self._values.__getitem__, sorted(acc[prev_len:])))
         else:
-            keys, run, items = self._keys, self._run, self._items
+            ids, run, values_of = self._ids, self._run, self._values
             if prev_len == 0:
-                keys.clear()
+                ids.clear()
                 run.clear()
-            for e in acc[prev_len:]:
-                key, value = items[e]
-                i = bisect_right(keys, key)
-                keys.insert(i, key)
-                run.insert(i, value)
+            for i in acc[prev_len:]:
+                j = bisect_right(ids, i)
+                ids.insert(j, i)
+                run.insert(j, values_of[i])
             values = run
         self.record(ts, te, len(acc), values)
 
@@ -184,6 +185,7 @@ def enumerate_cores(index: CoreWindowIndex, span: tuple[int, int],
         raise ValueError("window index was built for a different span")
     edge, start, end = index.edge, index.start, index.end
     n = len(start)
+    sink.bind(index.edges)
     # window ids by start time
     by_start: dict[int, list[int]] = {}
     for i, s in enumerate(start):
@@ -191,11 +193,11 @@ def enumerate_cores(index: CoreWindowIndex, span: tuple[int, int],
     # each edge's first window is live from the span start; the groups are
     # made in a loop of their own, as made amid the by_start lists the
     # sweep read about 5% slower
-    live: dict[int, dict[TemporalEdge, int]] = {}
+    live: dict[int, dict[int, int]] = {}
     n_live = 0
     prev = None
     for i, e, te in zip(range(n), edge, end):
-        if e is not prev:
+        if e != prev:
             live.setdefault(te, {})[e] = i
             n_live += 1
             prev = e
@@ -217,7 +219,7 @@ def enumerate_cores(index: CoreWindowIndex, span: tuple[int, int],
                 del live[te]
             # the edge's next window goes live as this one expires
             j = i + 1
-            if j < n and edge[j] is e:
+            if j < n and edge[j] == e:
                 live.setdefault(end[j], {})[e] = j
                 n_live += 1
                 ops += 1
@@ -229,7 +231,7 @@ def enumerate_cores(index: CoreWindowIndex, span: tuple[int, int],
         if not starting:
             continue
         first = min(map(end.__getitem__, starting))
-        acc: list[TemporalEdge] = []
+        acc: list[int] = []
         prev_len = 0
         for te in sorted(live):
             ops += 1
@@ -258,21 +260,22 @@ def enumerate_cores_baseline(index: CoreWindowIndex, span: tuple[int, int],
     ts_lo, ts_hi = span
     if index.span != (ts_lo, ts_hi):
         raise ValueError("window index was built for a different span")
-    start, end = index.start, index.end
+    start, end, edges = index.start, index.end, index.edges
     edge_wins = [(e, start[ids.start:ids.stop], end[ids.start:ids.stop])
-                 for e, ids in index.ids_by_edge().items() if ids]
+                 for e, ids in index.window_ids().items()]
+    sink.bind(edges)
     scanned = 0
     cores = 0
     size0 = sink.result_size
     for ts in range(ts_lo, ts_hi + 1):
         if deadline is not None and time.perf_counter() > deadline:
             raise BudgetExceeded(f"baseline scan exceeded its deadline at start {ts}")
-        buckets: dict[int, list[TemporalEdge]] = {}
+        buckets: dict[int, list[int]] = {}
         for e, starts, ends in edge_wins:
             i = bisect_left(starts, ts)
             if i < len(starts):
                 buckets.setdefault(ends[i], []).append(e)
-        acc: list[TemporalEdge] = []
+        acc: list[int] = []
         prev_len = 0
         t_min, t_max = ts_hi + 1, ts
         for te in range(ts, ts_hi + 1):
@@ -281,8 +284,9 @@ def enumerate_cores_baseline(index: CoreWindowIndex, span: tuple[int, int],
             if not bucket:
                 continue
             acc.extend(bucket)
-            t_min = min(t_min, min(e.t for e in bucket))
-            t_max = max(t_max, max(e.t for e in bucket))
+            # ids are in time order
+            t_min = min(t_min, edges[min(bucket)].t)
+            t_max = max(t_max, edges[max(bucket)].t)
             if t_min != ts:
                 continue
             sink.emit(ts, t_max, acc, prev_len)

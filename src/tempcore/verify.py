@@ -16,7 +16,8 @@ from itertools import zip_longest
 
 from .coretime import build_core_times
 from .graph import EmptyGraphError, TemporalGraph
-from .oracle import brute_core_times, brute_core_windows, brute_enumerate
+from .oracle import (brute_core_times, brute_core_windows, brute_enumerate,
+                     window_cores)
 from .sweep import FullSink, enumerate_cores, enumerate_cores_baseline
 from .synth import random_edge_triples
 from .windows import build_core_windows
@@ -35,8 +36,10 @@ def check_instance(g: TemporalGraph, k: int, span: tuple[int, int]) -> list[str]
     problems: list[str] = []
     where = f"k={k} span=[{span[0]},{span[1]}]"
 
+    # one from-scratch peel per window feeds both reference indexes
+    cores = window_cores(g, k, span)
     core_times = build_core_times(g, k, span)
-    built_runs, reference_runs = core_times.runs, brute_core_times(g, k, span)
+    built_runs, reference_runs = core_times.runs, brute_core_times(g, k, span, cores)
     if built_runs != reference_runs:
         for v, (got, want) in enumerate(zip_longest(built_runs, reference_runs)):
             if got != want:
@@ -45,7 +48,7 @@ def check_instance(g: TemporalGraph, k: int, span: tuple[int, int]) -> list[str]
 
     core_windows = build_core_windows(g, k, span, core_times)
     built_windows = dict(core_windows.by_edge)
-    reference_windows = brute_core_windows(g, k, span)
+    reference_windows = brute_core_windows(g, k, span, cores)
     for e in g.edges:
         got, want = built_windows.get(e), reference_windows.get(e)
         if got != want:

@@ -13,24 +13,22 @@ ts = t covers the edge's expiry from the window, and the run reaching the
 span end is flushed as well.
 
 Layout: the index holds no object per window. Its windows are three flat
-columns, `edge`, `start` and `end`, in the order of the span's edges
-(g.edges order, so (t, u, v)) and then by start. `edge` is a list of
-references to the graph's own edges; the two times are 32-bit arrays.
-That is 16 bytes per window plus one reference per span edge: 2.3 MiB
-(tracemalloc) for the 100,035 windows of the 100k-edge burst graph with
-k=2 over its whole range. by_edge is the one read view: it gives each span
-edge's (start, end) pairs, made from the columns on demand.
+32-bit columns, `edge` (an edge id), `start` and `end`, in id order, which
+is (t, u, v) order, and then by start. That is 12 bytes per window:
+1.2 MiB (tracemalloc) for the 100,035 windows of the 100k-edge burst graph
+with k=2 over its whole range. by_edge is the one read view: it gives each
+span edge, as a TemporalEdge, its (start, end) pairs, made from the
+columns on demand.
 """
 
 from __future__ import annotations
 
 import time
 from array import array
-from bisect import bisect_left
 from collections.abc import Iterator, Mapping, Sequence
 
 from .coretime import CoreTimeIndex
-from .graph import BudgetExceeded, TemporalEdge, TemporalGraph
+from .graph import BudgetExceeded, TemporalEdge, TemporalGraph, canonical_edges
 
 # span edges walked between two deadline checks
 _BLOCK = 4096
@@ -40,37 +38,38 @@ class CoreWindowIndex:
     """The minimal windows of one (k, span) query, as per-window columns.
 
     Window i is (edge[i], start[i], end[i]); the windows of one edge are
-    adjacent and ordered by start. edges lists the span's edges in column
-    order, windowless ones included.
+    adjacent and ordered by start. edges[j] is the edge of id j, and ids
+    are the span's edge ids, windowless ones included.
     """
 
-    __slots__ = ("k", "span", "edges", "edge", "start", "end", "_where")
+    __slots__ = ("k", "span", "edges", "ids", "edge", "start", "end", "_where")
 
-    def __init__(self, k: int, span: tuple[int, int],
-                 edges: Sequence[TemporalEdge], edge: list[TemporalEdge],
-                 start: array, end: array) -> None:
+    def __init__(self, k: int, span: tuple[int, int], edges: Sequence[TemporalEdge],
+                 ids: range, edge: array, start: array, end: array) -> None:
         self.k = k
         self.span = span
         self.edges = edges
+        self.ids = ids
         self.edge = edge
         self.start = start
         self.end = end
-        self._where: dict[TemporalEdge, range] | None = None
+        self._where: dict[int, range] | None = None
 
     @classmethod
     def from_windows(cls, k: int, span: tuple[int, int],
                      by_edge: Mapping[TemporalEdge, Sequence[tuple[int, int]]]
                      ) -> "CoreWindowIndex":
         """An index holding the given (start, end) windows per edge, in the
-        mapping's order."""
-        edge: list[TemporalEdge] = []
-        start, end = array("i"), array("i")
+        mapping's order; the edges' ids number them in (t, u, v) order."""
+        edges = canonical_edges(by_edge)
+        id_of = {e: i for i, e in enumerate(edges)}
+        edge, start, end = array("i"), array("i"), array("i")
         for e, wins in by_edge.items():
             for a, b in wins:
-                edge.append(e)
+                edge.append(id_of[e])
                 start.append(a)
                 end.append(b)
-        return cls(k, tuple(span), list(by_edge), edge, start, end)
+        return cls(k, tuple(span), edges, range(len(edges)), edge, start, end)
 
     @property
     def size(self) -> int:
@@ -81,14 +80,15 @@ class CoreWindowIndex:
         """Read-only: span edge -> its (start, end) windows, made on demand."""
         return _ByEdge(self)
 
-    def ids_by_edge(self) -> dict[TemporalEdge, range]:
-        """Span edge -> the ids of its windows, found once and kept."""
+    def window_ids(self) -> dict[int, range]:
+        """Edge id -> the ids of its windows, for each edge holding any;
+        found once and kept."""
         if self._where is None:
             where = {}
             col, n, i = self.edge, len(self.edge), 0
-            for e in self.edges:
-                j = i
-                while j < n and col[j] is e:
+            while i < n:
+                e, j = col[i], i + 1
+                while j < n and col[j] == e:
                     j += 1
                 where[e] = range(i, j)
                 i = j
@@ -103,8 +103,6 @@ class CoreWindowIndex:
                 continue
             lu = labels[e.u] if labels is not None else e.u
             lv = labels[e.v] if labels is not None else e.v
-            if lu > lv:
-                lu, lv = lv, lu
             body = ", ".join(f"[{a},{b}]" for a, b in wins)
             lines.append(f"(v{lu},v{lv},{e.t}): {body}")
         return "\n".join(lines)
@@ -119,14 +117,20 @@ class _ByEdge(Mapping):
         self._index = index
 
     def __len__(self) -> int:
-        return len(self._index.edges)
+        return len(self._index.ids)
 
     def __iter__(self) -> Iterator[TemporalEdge]:
-        return iter(self._index.edges)
+        return map(self._index.edges.__getitem__, self._index.ids)
 
     def __getitem__(self, e: TemporalEdge) -> list[tuple[int, int]]:
         index = self._index
-        return [(index.start[i], index.end[i]) for i in index.ids_by_edge()[e]]
+        try:
+            i = index.edges.index(e)
+        except (ValueError, TypeError):
+            raise KeyError(e) from None
+        if i not in index.ids:
+            raise KeyError(e)
+        return [(index.start[j], index.end[j]) for j in index.window_ids().get(i, ())]
 
 
 def build_core_windows(g: TemporalGraph, k: int, span: tuple[int, int],
@@ -144,19 +148,17 @@ def build_core_windows(g: TemporalGraph, k: int, span: tuple[int, int],
         raise ValueError("core-time index was built for a different query")
     ts_lo, ts_hi = core_times.span
     off, starts, ends = core_times.offsets, core_times.starts, core_times.ends
-    edges = g.edges
-    # g.edges is (t, u, v)-sorted, so the span is one contiguous slice;
-    # edges outside it hold no windows and are not in the index
-    lo = bisect_left(edges, ts_lo, key=lambda e: e[2])
-    hi = bisect_left(edges, ts_hi + 1, key=lambda e: e[2])
-    edge: list[TemporalEdge] = []
-    start, end = array("i"), array("i")
+    # edges outside the span hold no windows and are not in the index
+    ids = g.ids_in(ts_lo, ts_hi)
+    edge_u, edge_v, edge_t = g.edge_u, g.edge_v, g.edge_t
+    edge, start, end = array("i"), array("i"), array("i")
     add_edge, add_start, add_end = edge.append, start.append, end.append
-    for block in range(lo, hi, _BLOCK):
+    for block in range(ids.start, ids.stop, _BLOCK):
         if deadline is not None and time.perf_counter() > deadline:
             raise BudgetExceeded(f"window build exceeded its deadline at edge {block}")
-        for e in edges[block:min(block + _BLOCK, hi)]:
-            u, v, t = e
+        stop = min(block + _BLOCK, ids.stop)
+        for e, u, v, t in zip(range(block, stop), edge_u[block:stop],
+                              edge_v[block:stop], edge_t[block:stop]):
             # iu, iv: the endpoints' current runs; eu, ev: past their last
             iu = off[u]
             eu = off[u + 1]
@@ -202,5 +204,5 @@ def build_core_windows(g: TemporalGraph, k: int, span: tuple[int, int],
                 add_edge(e)
                 add_start(t)
                 add_end(cur)
-    return CoreWindowIndex(k, (ts_lo, ts_hi), edges[lo:hi], edge, start, end)
+    return CoreWindowIndex(k, (ts_lo, ts_hi), g.edges, ids, edge, start, end)
 

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from typing import TextIO
 
 from .coretime import build_core_times
-from .graph import TemporalEdge, TemporalGraph, stats
+from .graph import TemporalGraph, canonical_edges, stats
 from .oracle import brute_enumerate, temporal_kcore
-from .sweep import (CoreResult, EdgeMemo, RecordSink, enumerate_cores,
+from .sweep import (CoreResult, RecordSink, enumerate_cores,
                     enumerate_cores_baseline, make_sink)
 from .windows import build_core_windows
 
@@ -176,15 +176,17 @@ def run_query(g: TemporalGraph, k: int, span: tuple[int, int], algo: str = "enum
         scanned = result.windows_scanned
         # the cores come TTI-sorted and those of one start time are nested,
         # so each extends its start time's accumulator by its new edges
-        acc: list[TemporalEdge] = []
-        members: set[TemporalEdge] = set()
+        sink.bind(g.edges)
+        acc: list[int] = []
+        members: set[int] = set()
         acc_ts = None
         for core in result.cores:
             if core.tti[0] != acc_ts:
                 acc, members, acc_ts = [], set(), core.tti[0]
             prev_len = len(acc)
-            acc.extend(e for e in core.edges if e not in members)
-            members.update(core.edges)
+            ids = [g.edge_id(*e) for e in core.edges]
+            acc.extend(i for i in ids if i not in members)
+            members.update(ids)
             sink.emit(acc_ts, core.tti[1], acc, prev_len)
     else:
         core_times = build_core_times(g, k, span, deadline=deadline)
@@ -206,22 +208,18 @@ def run_query(g: TemporalGraph, k: int, span: tuple[int, int], algo: str = "enum
     return list(sink.records or ()), report
 
 
-def _edge_texts(g: TemporalGraph):
-    """The item e -> ((t, lo, hi), "[lo,hi,raw_t]") of result lines.
+def _edge_text(g: TemporalGraph):
+    """(u, v, t) -> "[lo,hi,raw_t]", the edge's text in result lines.
 
-    lo and hi are the endpoints' original ids, smaller first. Ranks order
-    like raw timestamps, so sorting by the key sorts by (raw t, lo, hi).
+    lo and hi are the endpoints' original ids; dense ids are numbered in
+    label order, so u's label is the smaller.
     """
     labels, raw_values = g.labels, g.time_domain.raw_values
 
-    def item(e: TemporalEdge) -> tuple[tuple[int, int, int], str]:
-        u, v, t = e
-        lo, hi = labels[u], labels[v]
-        if hi < lo:
-            lo, hi = hi, lo
-        return (t, lo, hi), f"[{lo},{hi},{raw_values[t - 1]}]"
+    def text(u: int, v: int, t: int) -> str:
+        return f"[{labels[u]},{labels[v]},{raw_values[t - 1]}]"
 
-    return item
+    return text
 
 
 def _line(g: TemporalGraph, ts: int, te: int, size: int, texts) -> str:
@@ -237,8 +235,9 @@ def format_record(rec: CoreResult, g: TemporalGraph) -> str:
     edge triples are printed sorted by (t, u, v) of those values with the
     smaller endpoint first, so equal streams diff clean.
     """
+    text = _edge_text(g)
     texts = None if rec.edges is None else \
-        EdgeMemo(_edge_texts(g)).sorted_values(rec.edges)
+        [text(*e) for e in canonical_edges(rec.edges)]
     return _line(g, rec.ts, rec.te, rec.size, texts)
 
 
@@ -246,7 +245,9 @@ class StreamSink(RecordSink):
     """Writes each core's format_record line as it is emitted; keeps no record."""
 
     def __init__(self, g: TemporalGraph, mode: str, out: TextIO) -> None:
-        super().__init__(mode, _edge_texts(g))
+        text = _edge_text(g)
+        edge_u, edge_v, edge_t = g.edge_u, g.edge_v, g.edge_t
+        super().__init__(mode, lambda i: text(edge_u[i], edge_v[i], edge_t[i]))
         self._g = g
         self._out = out
 

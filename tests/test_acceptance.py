@@ -7,6 +7,7 @@ the peeling oracle, or measured against an explicitly stated bound.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import statistics
 import time
@@ -18,6 +19,7 @@ from tempcore import (FullSink, ResultSink, brute_core_times, brute_enumerate,
                       build_core_times, build_core_windows, enumerate_cores,
                       enumerate_cores_baseline, resolve_k, resolve_width,
                       stats)
+from tempcore.cli import main
 from tempcore.synth import burst_graph, random_graph
 from tempcore.workload import place_span
 
@@ -33,6 +35,12 @@ FUZZ_SEED = 777_000
 BENCH_SEED = 20_240
 BENCH_TIMESTAMPS = 10_000
 BENCH_EDGES = 100_000
+# the criterion-8 query's full stream as `tempcore query` writes it, and
+# the fields of its report line
+BENCH_STREAM_BYTES = 32_052_583
+BENCH_STREAM_SHA256 = "2108fb21757e73834916364708cbbb685989d026be9e438aa63bb24f45a3efe6"
+BENCH_REPORT = ("cores=1489", "result_size=1999512", "core_times_size=1253",
+                "windows_size=4809", "node_ops=11107")
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -262,3 +270,24 @@ def test_criterion_8_performance_smoke():
             f"setup={build_elapsed:.1f}s sweep={sweep_med:.2f}s "
             f"(prep {prep_share:.0%}) brute={brute_med:.2f}s "
             f"speedup={speedup:.1f}x")
+
+
+@pytest.mark.slow
+def test_criterion_8_golden_stream(tmp_path, capsys):
+    g = burst_graph(BENCH_SEED, timestamps=BENCH_TIMESTAMPS,
+                    target_edges=BENCH_EDGES)
+    raw = g.time_domain.raw
+    edges = tmp_path / "burst.txt"
+    edges.write_text("".join(f"{g.labels[u]} {g.labels[v]} {raw(t)}\n"
+                             for u, v, t in g.edges))
+    out = tmp_path / "full.txt"
+    rc = main(["query", "--input", str(edges), "--k-pct", "30", "--t-pct", "10",
+               "--seed", str(BENCH_SEED), "--mode", "full", "--out", str(out)])
+    data = out.read_bytes()
+    report = capsys.readouterr().err.split()
+    ok = (rc == 0 and len(data) == BENCH_STREAM_BYTES
+          and hashlib.sha256(data).hexdigest() == BENCH_STREAM_SHA256
+          and all(field in report for field in BENCH_REPORT))
+    with capsys.disabled():
+        _report(8, "the one-shot CLI's full stream is byte for byte the "
+                   "golden one", ok, f"{len(data)} bytes, {' '.join(report[4:9])}")

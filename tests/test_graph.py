@@ -4,15 +4,16 @@ from __future__ import annotations
 
 import io
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tempcore import (EmptyGraphError, ParseError, TemporalGraph,
+from tempcore import (EmptyGraphError, ParseError, TemporalEdge, TemporalGraph,
                       compress_timestamps, parse_edge_list, static_coreness,
-                      stats)
-from tempcore.synth import random_graph
+                      stats, temporal_kcore)
+from tempcore.synth import burst_graph, random_graph
 
 
 def graph_of(text: str) -> TemporalGraph:
@@ -57,8 +58,12 @@ class TestParse:
         assert g.m == 1
 
     def test_original_labels_survive(self):
+        # dense ids follow the original ids' order, so u < v exactly when
+        # label u < label v
         g = graph_of("700 41 9\n41 900 10\n")
-        assert g.labels == [700, 41, 900]
+        assert g.labels == [41, 700, 900]
+        assert [(g.labels[e.u], g.labels[e.v]) for e in g.edges] == \
+            [(41, 700), (41, 900)]
 
 
 class TestCompress:
@@ -104,7 +109,7 @@ class TestNeighborsIn:
     def test_full_range_matches_degree(self, g14):
         for v in range(g14.n):
             got = g14.neighbors_in(v, 1, g14.t_count)
-            assert len(got) == len(g14.adj[v])
+            assert len(got) == sum(v in (e.u, e.v) for e in g14.edges)
 
 
 class TestCoreness:
@@ -150,8 +155,9 @@ def test_adjacency_is_symmetric(triples):
     if g is None:
         return
     for u in range(g.n):
-        for t, v in g.adj[u]:
-            assert (t, u) in g.adj[v]
+        for v, t in g.neighbors_in(u, 1, g.t_count):
+            assert (u, t) in g.neighbors_in(v, 1, g.t_count)
+            assert TemporalEdge(min(u, v), max(u, v), t) in g.edges
 
 
 @settings(max_examples=60, deadline=None)
@@ -180,17 +186,59 @@ def test_coreness_monotone_under_edge_additions(triples, extra):
         assert core2[v2] >= core1[v1]
 
 
+def adjacency_sorted(g) -> bool:
+    """Every vertex's (t, neighbour) pairs are sorted."""
+    return all(a == sorted(a) for a in
+               ([(t, y) for y, t in g.neighbors_in(v, 1, g.t_count)]
+                for v in range(g.n)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(triples_strategy, st.data())
+def test_coreness_is_the_largest_core_holding_the_vertex(triples, data):
+    # the definition: v's coreness in a window is the largest k whose
+    # k-core of that window holds v, and 0 when no 1-core does
+    g = build(triples)
+    if g is None:
+        return
+    lo = data.draw(st.integers(1, g.t_count), label="lo")
+    hi = data.draw(st.integers(lo, g.t_count), label="hi")
+    want = [0] * g.n
+    k = 1
+    while (core := temporal_kcore(g, k, (lo, hi))) is not None:
+        for v in core.vertices:
+            want[v] = k
+        k += 1
+    assert static_coreness(g, (lo, hi)) == want
+
+
+def test_graph_memory_per_edge():
+    # the columns share one int object per vertex id and per rank; one
+    # TemporalEdge and two adjacency tuples per edge held about 350 bytes
+    g = burst_graph(5, timestamps=2000, clique=10, target_edges=12000)
+    raw = g.time_domain.raw
+    triples = [(g.labels[u], g.labels[v], raw(t)) for u, v, t in g.edges]
+    tracemalloc.start()
+    try:
+        built = TemporalGraph.from_triples(triples)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert built.m == g.m == 12000
+    assert held < 200 * built.m, (held, built.m)
+
+
 class TestAdjacencyOrder:
     # from_triples does not sort adjacency; the (t, u, v) edge order must
-    # already leave every list sorted, as bisect over it assumes
+    # already leave every vertex's pairs sorted, as bisect over them assumes
     def test_fixture(self, g14):
-        assert all(a == sorted(a) for a in g14.adj)
+        assert adjacency_sorted(g14)
 
     def test_corpus(self):
         rng = random.Random(2024)
         for _ in range(200):
             g = random_graph(rng)
-            assert all(a == sorted(a) for a in g.adj)
+            assert adjacency_sorted(g)
 
 
 def test_canonical_edge_invariants_random():
@@ -206,5 +254,11 @@ def test_canonical_edge_invariants_random():
             assert e.u < e.v
             assert e not in seen
             seen.add(e)
-        assert [e for t in range(1, g.t_count + 1) for e in g.edges_at[t]] \
-            == sorted(g.edges, key=lambda e: (e.t, e.u, e.v))
+        edges = list(g.edges)
+        assert edges == sorted(edges, key=lambda e: (e.t, e.u, e.v))
+        # the ids of each time are one range, and edge_id inverts g.edges
+        for t in range(1, g.t_count + 1):
+            assert [edges[i] for i in g.ids_in(t, t)] == \
+                [e for e in edges if e.t == t]
+        assert [g.edge_id(*e) for e in edges] == list(range(g.m))
+        assert g.ids_in(1, g.t_count) == range(g.m)

@@ -147,6 +147,7 @@ class TestEnumerate:
                 enumerate_cores(cwi, (a, b), sink)
                 for ts, te, acc in sink.seen:
                     assert len(acc) == len(set(acc)), (ts, te)
+                    acc = [g.edges[i] for i in acc]
                     want = set()
                     for e, wins in cwi.by_edge.items():
                         live = next((end for start, end in wins if start >= ts),

@@ -129,8 +129,10 @@ class TestProperties:
 
 
 def columns(cwi):
-    """The span's edges, then (edge, start, end) per window."""
-    return list(cwi.by_edge), list(zip(cwi.edge, cwi.start, cwi.end))
+    """The span's edges, then (edge, start, end) per window, with each
+    edge id made a TemporalEdge."""
+    return list(cwi.by_edge), list(zip(map(cwi.edges.__getitem__, cwi.edge),
+                                       cwi.start, cwi.end))
 
 
 def oracle_columns(by_edge):

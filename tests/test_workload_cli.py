@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import io
 import random
+import re
 import tracemalloc
 
 import pytest
 
 import tempcore.cli
+import tempcore.oracle
 import tempcore.verify
 import tempcore.workload
 from tempcore import (CoreTimeIndex, WorkloadError, format_record, gen_queries,
@@ -249,6 +251,72 @@ class TestCliQuery:
         assert out.read_text() == "earlier results\n"
 
 
+_LINE = re.compile(r"tti_ts=(-?\d+) tti_te=(-?\d+) size=(\d+) edges=(.*)")
+_TRIPLE = re.compile(r"\[(\d+),(\d+),(-?\d+)\]")
+
+
+def _mapped_back(text: str, label=lambda x: x, time=lambda t: t) -> list[tuple]:
+    """Full-mode result lines with ids and times mapped back through label
+    and time, and each line's edges re-sorted by (t, smaller id, larger)."""
+    lines = []
+    for line in text.splitlines():
+        ts, te, size, edges = _LINE.fullmatch(line).groups()
+        triples = sorted((time(int(t)), *sorted((label(int(a)), label(int(b)))))
+                         for a, b, t in _TRIPLE.findall(edges))
+        lines.append((time(int(ts)), time(int(te)), int(size), tuple(triples)))
+    return lines
+
+
+class TestInvariance:
+    """The raw-id output does not depend on how the input is written:
+    the order and repetition of its lines, the vertex ids, or the raw
+    timestamps under an increasing map. Each changes the dense numbering
+    and the edge ids, so the edge-id order the sinks sort by must give
+    the same lines."""
+
+    GRAPH = dict(timestamps=2000, clique=10, target_edges=12000)
+
+    @pytest.fixture(scope="class")
+    def triples(self):
+        g = burst_graph(5, **self.GRAPH)
+        raw = g.time_domain.raw
+        return [(g.labels[u], g.labels[v], raw(t)) for u, v, t in g.edges]
+
+    @staticmethod
+    def run(tmp_path, triples, k, span) -> str:
+        path = tmp_path / "edges.txt"
+        path.write_text("".join(f"{u} {v} {t}\n" for u, v, t in triples))
+        out = tmp_path / "out.txt"
+        # compressed times: ranks survive every change made below
+        assert main(["query", "--input", str(path), "--k", str(k), "--ts",
+                     str(span[0]), "--te", str(span[1]), "--mode", "full",
+                     "--out", str(out)]) == 0
+        return out.read_text()
+
+    @pytest.mark.parametrize("k, span", [(2, (1, 500)), (4, (300, 900))])
+    def test_output_survives_input_changes(self, tmp_path, capsys, triples,
+                                           k, span):
+        rng = random.Random(k)
+        want = _mapped_back(self.run(tmp_path, triples, k, span))
+        assert len(want) > 100
+
+        repeated = triples + [(v, u, t) for u, v, t in rng.sample(triples, 500)]
+        rng.shuffle(repeated)
+        assert _mapped_back(self.run(tmp_path, repeated, k, span)) == want
+
+        labels = sorted({x for u, v, _ in triples for x in (u, v)})
+        new_id = dict(zip(labels, rng.sample(range(10 ** 6), len(labels))))
+        old_id = {b: a for a, b in new_id.items()}
+        relabelled = [(new_id[u], new_id[v], t) for u, v, t in triples]
+        assert _mapped_back(self.run(tmp_path, relabelled, k, span),
+                            label=old_id.__getitem__) == want
+
+        stretched = [(u, v, 3 * t + 7) for u, v, t in triples]
+        assert _mapped_back(self.run(tmp_path, stretched, k, span),
+                            time=lambda t: (t - 7) // 3) == want
+        capsys.readouterr()
+
+
 class TestCliRanges:
     """Out-of-range values exit 1 with one error line, before any output."""
 
@@ -314,6 +382,20 @@ class TestCliVerify:
         assert len(captured.err.splitlines()) == 1
         assert main(["verify", "--input", g14_file, "--graphs", "0"]) == 0
         assert "pass (16 checks" in capsys.readouterr().out
+
+    def test_one_peel_per_window(self, g14, monkeypatch):
+        # both reference indexes read one from-scratch peel of each of the
+        # 28 windows of [1,7]
+        calls = []
+        peel = tempcore.oracle.temporal_kcore
+
+        def counted(g, k, window):
+            calls.append(window)
+            return peel(g, k, window)
+
+        monkeypatch.setattr(tempcore.oracle, "temporal_kcore", counted)
+        assert check_instance(g14, 2, (1, 7)) == []
+        assert len(calls) == 28
 
     def test_runs_missing_a_vertex_fail(self, g14, monkeypatch):
         # a runs view that loses the last vertex is no match for the oracle
