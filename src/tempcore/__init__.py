@@ -16,9 +16,9 @@ from .graph import (BudgetExceeded, EmptyGraphError, GraphStats, ParseError,
 from .oracle import (BruteEnumeration, CoreSubgraph, brute_core_times,
                      brute_core_windows, brute_enumerate, temporal_kcore,
                      window_cores)
-from .sweep import (BaselineStats, CoreResult, DeltaSink, FullSink, RecordSink,
-                    ResultSink, SizesSink, SweepStats, enumerate_cores,
-                    enumerate_cores_baseline, make_sink)
+from .sweep import (BaselineStats, CoreResult, FullSink, RecordSink, ResultSink,
+                    SweepStats, enumerate_cores, enumerate_cores_baseline,
+                    make_sink)
 from .windows import CoreWindowIndex, build_core_windows
 from .workload import (QuerySpec, RunReport, WorkloadError, format_record,
                        gen_queries, place_span, resolve_k, resolve_width,
@@ -28,11 +28,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BaselineStats", "BruteEnumeration", "BudgetExceeded", "CoreResult",
-    "CoreSubgraph", "CoreTimeIndex", "CoreWindowIndex", "DeltaSink",
-    "EmptyGraphError", "FullSink", "GraphStats", "ParseError",
-    "QuerySpec", "RecordSink", "ResultSink", "RunReport",
-    "SizesSink", "SweepStats", "TemporalEdge", "TemporalGraph", "TimeDomain",
-    "WorkloadError", "brute_core_times", "brute_core_windows",
+    "CoreSubgraph", "CoreTimeIndex", "CoreWindowIndex", "EmptyGraphError",
+    "FullSink", "GraphStats", "ParseError", "QuerySpec", "RecordSink",
+    "ResultSink", "RunReport", "SweepStats", "TemporalEdge", "TemporalGraph",
+    "TimeDomain", "WorkloadError", "brute_core_times", "brute_core_windows",
     "brute_enumerate", "build_core_times", "build_core_windows",
     "canonical_edges", "compress_timestamps", "enumerate_cores",
     "enumerate_cores_baseline", "format_record", "gen_queries", "make_sink",

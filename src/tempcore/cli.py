@@ -5,7 +5,8 @@ Subcommands: stats, query, gen, verify, bench. Exit codes: 0 success,
 query past --budget, or every bench cell timed out). Result streams go to
 stdout (or --out); run reports and diagnostics go to stderr. query writes
 each sizes/delta/full line as its core is emitted, so a query stopped by
---budget leaves the lines written so far, ending at a line boundary.
+--budget leaves the lines written so far, ending at a line boundary; bench
+writes each row as its cell finishes.
 """
 
 from __future__ import annotations
@@ -147,7 +148,6 @@ def _cmd_bench(args) -> int:
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     header = ("k_pct\tt_pct\tk\tts\tte\talgo\treps\tcores\tresult_size\t"
               "core_times_s\twindows_s\tenum_s\ttotal_s\tstatus")
-    rows: list[str] = []
     statuses: list[str] = []
     try:
         print(header, file=out)
@@ -177,21 +177,16 @@ def _cmd_bench(args) -> int:
                             break
                         reports.append(report)
                     statuses.append(status if not reports else "ok")
+                    cell = f"{k_pct}\t{t_pct}\t{k}\t{ts}\t{te}\t{algo}\t{len(reports)}"
                     if not reports:
-                        rows.append(f"{k_pct}\t{t_pct}\t{k}\t{ts}\t{te}\t"
-                                    f"{algo}\t0\t-\t-\t-\t-\t-\t-\t{status}")
+                        print(f"{cell}\t-\t-\t-\t-\t-\t-\t{status}", file=out, flush=True)
                         continue
-                    mean = lambda xs: statistics.fmean(xs)
-                    rows.append(
-                        f"{k_pct}\t{t_pct}\t{k}\t{ts}\t{te}\t{algo}\t"
-                        f"{len(reports)}\t{reports[0].cores}\t"
-                        f"{reports[0].result_size}\t"
-                        f"{mean([r.t_core_times for r in reports]):.4f}\t"
-                        f"{mean([r.t_windows for r in reports]):.4f}\t"
-                        f"{mean([r.t_enumerate for r in reports]):.4f}\t"
-                        f"{mean([r.t_total for r in reports]):.4f}\t{status}")
-        for row in rows:
-            print(row, file=out)
+                    print(f"{cell}\t{reports[0].cores}\t{reports[0].result_size}\t"
+                          f"{statistics.fmean([r.t_core_times for r in reports]):.4f}\t"
+                          f"{statistics.fmean([r.t_windows for r in reports]):.4f}\t"
+                          f"{statistics.fmean([r.t_enumerate for r in reports]):.4f}\t"
+                          f"{statistics.fmean([r.t_total for r in reports]):.4f}\t{status}",
+                          file=out, flush=True)
     finally:
         if out is not sys.stdout:
             out.close()

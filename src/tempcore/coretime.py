@@ -28,14 +28,13 @@ max(t_xy, old) <= ct[y] < max(t_xy, new).
 
 from __future__ import annotations
 
-import time
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import accumulate, repeat
 from math import inf
 
-from .graph import BudgetExceeded, TemporalGraph, WindowPeel
+from .graph import TemporalGraph, WindowPeel, check_deadline
 
 Runs = tuple[tuple[int, int | None], ...]
 
@@ -96,7 +95,8 @@ def build_core_times(g: TemporalGraph, k: int, span: tuple[int, int],
                      deadline: float | None = None) -> CoreTimeIndex:
     """Core-time runs of every vertex for one (k, span) query.
 
-    A deadline (a time.perf_counter value) is checked once per start time.
+    A deadline (a time.perf_counter value) is checked once per start time,
+    and once per end time in the first start time's peel.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -110,12 +110,8 @@ def build_core_times(g: TemporalGraph, k: int, span: tuple[int, int],
     # vertices of a large graph are never repaired
     span_end: dict[int, int] = {}
 
-    def check_deadline(ts: int) -> None:
-        if deadline is not None and time.perf_counter() > deadline:
-            raise BudgetExceeded(f"core times exceeded their deadline at start {ts}")
-
-    check_deadline(ts_lo)
-    ct: list = _initial_core_times(g, k, span)
+    check_deadline(deadline, "core times at start", ts_lo)
+    ct: list = _initial_core_times(g, k, span, deadline)
     # one (vertex, start, end) entry per run, in start order; no object per
     # run or per vertex, so the build leaves the collector nothing to walk
     run_v, run_start, run_end = array("i"), array("i"), array("i")
@@ -127,7 +123,7 @@ def build_core_times(g: TemporalGraph, k: int, span: tuple[int, int],
             add_end(c)
 
     for ts in range(ts_lo + 1, ts_hi + 1):
-        check_deadline(ts)
+        check_deadline(deadline, "core times at start", ts)
         pending: list[int] = []
         in_pending: set[int] = set()
         for i in range(t_off[ts - 1], t_off[ts]):
@@ -140,8 +136,6 @@ def build_core_times(g: TemporalGraph, k: int, span: tuple[int, int],
             x = pending.pop()
             in_pending.discard(x)
             old = ct[x]
-            if old is inf:
-                continue
             hi = span_end.get(x)
             if hi is None:
                 hi = span_end[x] = bisect_left(adj_t, ts_hi + 1, off[x], off[x + 1])
@@ -196,16 +190,19 @@ def _local_core_time(adj_t: list[int], adj_y: list[int], lo: int, hi: int,
     return terms[k - 1], first
 
 
-def _initial_core_times(g: TemporalGraph, k: int, span: tuple[int, int]) -> list:
+def _initial_core_times(g: TemporalGraph, k: int, span: tuple[int, int],
+                        deadline: float | None) -> list:
     """Exact core times for the span's first start time.
 
     Shrinks the window from the right; a vertex peeled while dropping the
-    edges of end time te was last in a core at te.
+    edges of end time te was last in a core at te. The deadline is checked
+    once per end time.
     """
     ts_lo, ts_hi = span
     peel = WindowPeel(g, k, ts_lo, ts_hi)
     ct: list = [inf] * g.n
     for te in range(ts_hi, ts_lo - 1, -1):
+        check_deadline(deadline, "first core-time peel at end", te)
         if not peel.nbr:
             break
         for w in peel.drop(te):

@@ -22,6 +22,7 @@ adjacency tuples per edge. edges makes TemporalEdges on access.
 
 from __future__ import annotations
 
+import time
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
@@ -47,6 +48,16 @@ class EmptyGraphError(ValueError):
 
 class BudgetExceeded(RuntimeError):
     """An operation overran its wall-clock deadline."""
+
+
+def check_deadline(deadline: float | None, what: str, at: int) -> None:
+    """Raise BudgetExceeded once time.perf_counter() is past deadline.
+
+    deadline is a time.perf_counter value, or None for none; what and at
+    name the work and where it stood, and make the message only on raising.
+    """
+    if deadline is not None and time.perf_counter() > deadline:
+        raise BudgetExceeded(f"deadline exceeded: {what} {at}")
 
 
 class TemporalEdge(NamedTuple):

@@ -17,12 +17,11 @@ behaviour to temporal_kcore, which shares nothing with either.
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .graph import (BudgetExceeded, TemporalEdge, TemporalGraph, WindowPeel,
-                    canonical_edges)
+from .graph import (TemporalEdge, TemporalGraph, WindowPeel, canonical_edges,
+                    check_deadline)
 
 
 @dataclass(frozen=True)
@@ -106,8 +105,7 @@ def brute_enumerate(g: TemporalGraph, k: int, span: tuple[int, int],
     span_edges = list(map(TemporalEdge._make, g.edges_in(ts_lo, ts_hi)))
     for ts in range(ts_lo, ts_hi + 1):
         scanned += ts_hi - ts + 1
-        if deadline is not None and time.perf_counter() > deadline:
-            raise BudgetExceeded(f"brute scan exceeded its deadline at start {ts}")
+        check_deadline(deadline, "brute scan at start", ts)
         peel = WindowPeel(g, k, ts, ts_hi)
         nbr = peel.nbr
         if not nbr:

@@ -5,26 +5,29 @@ per window, see windows) by window id and make no window objects, and both
 accumulate edge ids.
 
 enumerate_cores walks start times once. The live minimal windows are held
-in groups keyed by end time, each group mapping an edge id to its window
-id. At start time ts an edge's live window is its first window starting no
-earlier than ts: its first window is live from the span start, and when a
-window expires (ts passes its start) the edge's next window takes its
-place, so at any moment each edge contributes at most one window. For a
-start time at which some window actually starts, one scan emits every
-distinct core whose tightest interval begins there: the groups are
-accumulated in end order, and each group from the smallest end of a window
-starting exactly there onward is one emission. Distinctness needs no
-bookkeeping because tightest intervals are unique per core.
+in groups keyed by end time, each group the set of ids of the edges whose
+live window ends there. At start time ts an edge's live window is its
+first window starting no earlier than ts: its first window is live from
+the span start, and when a window expires (ts passes its start) the edge's
+next window, the next window id, takes its place, so at any moment each
+edge contributes at most one window. For a start time at which some window
+actually starts, one scan emits every distinct core whose tightest
+interval begins there: the groups are accumulated in end order, and each
+group from the smallest end of a window starting exactly there onward is
+one emission. Distinctness needs no bookkeeping because tightest intervals
+are unique per core.
 
 enumerate_cores_baseline is the quadratic reference: for every start time
-it buckets each edge's first window starting no earlier and forms cores
-cumulatively over end times. A core with tightest interval [a, b] is found
-by the scan of start a at end b, and often again by scans of earlier
-starts; the baseline emits it only at scan a, so it needs no table of cores
-seen and emits in (ts, te) order.
+it buckets each edge's first window starting no earlier, found by
+bisecting the edge's run of the columns, and forms cores cumulatively over
+end times. A core with tightest interval [a, b] is found by the scan of
+start a at end b, and often again by scans of earlier starts; the baseline
+emits it only at scan a, so it needs no table of cores seen and emits in
+(ts, te) order.
 
 Both bind the sink to the index's edges, then hand it each core as (ts,
-te, accumulated ids, prev_len). A ResultSink counts; a RecordSink reports
+te, accumulated ids, prev_len); each reports as its cores and result_size
+how far the sink's counts rose. A ResultSink counts; a RecordSink reports
 no edges (sizes), the core's new edges (delta) or all its edges (full),
 mapped once per edge id to a value, in id order, which is (t, u, v) order.
 The library sinks keep CoreResult records of TemporalEdges; workload's
@@ -33,12 +36,11 @@ stream writer is a RecordSink whose values are result-line texts.
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .graph import BudgetExceeded, TemporalEdge
+from .graph import TemporalEdge, check_deadline
 from .windows import CoreWindowIndex
 
 
@@ -61,8 +63,6 @@ class ResultSink:
     time and acc[prev_len:] are the core's new edges. Used as is, it counts;
     RecordSink decides what every other mode reports for a core.
     """
-
-    mode = "count"
 
     def __init__(self) -> None:
         self.cores = 0
@@ -110,13 +110,13 @@ class RecordSink(ResultSink):
         self.mode = mode
         self.records = []
         self._value = value
-        self._values = EdgeMemo(value)
+        self._values: EdgeMemo | None = None
         self._ids: list[int] = []
         self._run: list = []
 
     def bind(self, edges):
-        if self._value is None:
-            self._values = EdgeMemo(edges.__getitem__)
+        self._values = EdgeMemo(edges.__getitem__ if self._value is None
+                                else self._value)
 
     def emit(self, ts, te, acc, prev_len):
         super().emit(ts, te, acc, prev_len)
@@ -140,16 +140,6 @@ class RecordSink(ResultSink):
         """Keep one core; values is None in sizes mode."""
         self.records.append(CoreResult(ts, te, size,
                                        None if values is None else tuple(values)))
-
-
-class SizesSink(RecordSink):
-    def __init__(self) -> None:
-        super().__init__("sizes")
-
-
-class DeltaSink(RecordSink):
-    def __init__(self) -> None:
-        super().__init__("delta")
 
 
 class FullSink(RecordSink):
@@ -193,34 +183,32 @@ def enumerate_cores(index: CoreWindowIndex, span: tuple[int, int],
     # each edge's first window is live from the span start; the groups are
     # made in a loop of their own, as made amid the by_start lists the
     # sweep read about 5% slower
-    live: dict[int, dict[int, int]] = {}
+    live: dict[int, set[int]] = {}
     n_live = 0
     prev = None
-    for i, e, te in zip(range(n), edge, end):
+    for e, te in zip(edge, end):
         if e != prev:
-            live.setdefault(te, {})[e] = i
+            live.setdefault(te, set()).add(e)
             n_live += 1
             prev = e
     ops = n_live
-    cores = 0
     peak_live = 0
     peak_state = 0
-    size0 = sink.result_size
+    cores0, size0 = sink.cores, sink.result_size
     for t in range(ts_lo, ts_hi + 1):
-        if deadline is not None and time.perf_counter() > deadline:
-            raise BudgetExceeded(f"sweep exceeded its deadline at start {t}")
+        check_deadline(deadline, "sweep at start", t)
         expired = by_start.get(t - 1, ())
         for i in expired:
             e = edge[i]
             te = end[i]
             group = live[te]
-            del group[e]
+            group.remove(e)
             if not group:
                 del live[te]
             # the edge's next window goes live as this one expires
             j = i + 1
             if j < n and edge[j] == e:
-                live.setdefault(end[j], {})[e] = j
+                live.setdefault(end[j], set()).add(e)
                 n_live += 1
                 ops += 1
         n_live -= len(expired)
@@ -239,10 +227,10 @@ def enumerate_cores(index: CoreWindowIndex, span: tuple[int, int],
             if te >= first:
                 sink.emit(t, te, acc, prev_len)
                 prev_len = len(acc)
-                cores += 1
         if n_live + len(acc) > peak_state:
             peak_state = n_live + len(acc)
-    return SweepStats(cores, ops, sink.result_size - size0, peak_live, peak_state)
+    return SweepStats(sink.cores - cores0, ops, sink.result_size - size0,
+                      peak_live, peak_state)
 
 
 @dataclass(frozen=True)
@@ -260,21 +248,20 @@ def enumerate_cores_baseline(index: CoreWindowIndex, span: tuple[int, int],
     ts_lo, ts_hi = span
     if index.span != (ts_lo, ts_hi):
         raise ValueError("window index was built for a different span")
-    start, end, edges = index.start, index.end, index.edges
-    edge_wins = [(e, start[ids.start:ids.stop], end[ids.start:ids.stop])
-                 for e, ids in index.window_ids().items()]
+    edge, start, end, edges = index.edge, index.start, index.end, index.edges
+    # per edge holding windows, its id and the bounds of its run of ids
+    runs = [(e, bisect_left(edge, e), bisect_right(edge, e))
+            for e in dict.fromkeys(edge)]
     sink.bind(edges)
     scanned = 0
-    cores = 0
-    size0 = sink.result_size
+    cores0, size0 = sink.cores, sink.result_size
     for ts in range(ts_lo, ts_hi + 1):
-        if deadline is not None and time.perf_counter() > deadline:
-            raise BudgetExceeded(f"baseline scan exceeded its deadline at start {ts}")
+        check_deadline(deadline, "baseline scan at start", ts)
         buckets: dict[int, list[int]] = {}
-        for e, starts, ends in edge_wins:
-            i = bisect_left(starts, ts)
-            if i < len(starts):
-                buckets.setdefault(ends[i], []).append(e)
+        for e, lo, hi in runs:
+            i = bisect_left(start, ts, lo, hi)
+            if i < hi:
+                buckets.setdefault(end[i], []).append(e)
         acc: list[int] = []
         prev_len = 0
         t_min, t_max = ts_hi + 1, ts
@@ -291,5 +278,4 @@ def enumerate_cores_baseline(index: CoreWindowIndex, span: tuple[int, int],
                 continue
             sink.emit(ts, t_max, acc, prev_len)
             prev_len = len(acc)
-            cores += 1
-    return BaselineStats(cores, scanned, sink.result_size - size0)
+    return BaselineStats(sink.cores - cores0, scanned, sink.result_size - size0)

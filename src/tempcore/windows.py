@@ -13,22 +13,27 @@ ts = t covers the edge's expiry from the window, and the run reaching the
 span end is flushed as well.
 
 Layout: the index holds no object per window. Its windows are three flat
-32-bit columns, `edge` (an edge id), `start` and `end`, in id order, which
-is (t, u, v) order, and then by start. That is 12 bytes per window:
-1.2 MiB (tracemalloc) for the 100,035 windows of the 100k-edge burst graph
-with k=2 over its whole range. by_edge is the one read view: it gives each
-span edge, as a TemporalEdge, its (start, end) pairs, made from the
-columns on demand.
+32-bit columns, `edge` (an edge id), `start` and `end`. That is 12 bytes
+per window: 1.2 MiB (tracemalloc) for the 100,035 windows of the 100k-edge
+burst graph with k=2 over its whole range. by_edge is the one read view: it
+gives each span edge, as a TemporalEdge, its (start, end) pairs, made from
+the columns on demand.
+
+Order invariant: every index, built or made by from_windows, holds its
+windows in edge id order, which is (t, u, v) order, then by start. So an
+edge's windows are one run of the columns, which by_edge and the baseline
+enumerator find by bisecting `edge`, and the sweep's next window for an
+edge is the next window id.
 """
 
 from __future__ import annotations
 
-import time
 from array import array
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Mapping, Sequence
 
 from .coretime import CoreTimeIndex
-from .graph import BudgetExceeded, TemporalEdge, TemporalGraph, canonical_edges
+from .graph import TemporalEdge, TemporalGraph, canonical_edges, check_deadline
 
 # span edges walked between two deadline checks
 _BLOCK = 4096
@@ -37,12 +42,12 @@ _BLOCK = 4096
 class CoreWindowIndex:
     """The minimal windows of one (k, span) query, as per-window columns.
 
-    Window i is (edge[i], start[i], end[i]); the windows of one edge are
-    adjacent and ordered by start. edges[j] is the edge of id j, and ids
-    are the span's edge ids, windowless ones included.
+    Window i is (edge[i], start[i], end[i]), ordered by edge id, then by
+    start. edges[j] is the edge of id j, and ids are the span's edge ids,
+    windowless ones included.
     """
 
-    __slots__ = ("k", "span", "edges", "ids", "edge", "start", "end", "_where")
+    __slots__ = ("k", "span", "edges", "ids", "edge", "start", "end")
 
     def __init__(self, k: int, span: tuple[int, int], edges: Sequence[TemporalEdge],
                  ids: range, edge: array, start: array, end: array) -> None:
@@ -53,20 +58,19 @@ class CoreWindowIndex:
         self.edge = edge
         self.start = start
         self.end = end
-        self._where: dict[int, range] | None = None
 
     @classmethod
     def from_windows(cls, k: int, span: tuple[int, int],
                      by_edge: Mapping[TemporalEdge, Sequence[tuple[int, int]]]
                      ) -> "CoreWindowIndex":
-        """An index holding the given (start, end) windows per edge, in the
-        mapping's order; the edges' ids number them in (t, u, v) order."""
+        """An index holding the given (start, end) windows per edge; the
+        edges' ids number them in (t, u, v) order, whatever the mapping's
+        order."""
         edges = canonical_edges(by_edge)
-        id_of = {e: i for i, e in enumerate(edges)}
         edge, start, end = array("i"), array("i"), array("i")
-        for e, wins in by_edge.items():
-            for a, b in wins:
-                edge.append(id_of[e])
+        for i, e in enumerate(edges):
+            for a, b in sorted(by_edge[e]):
+                edge.append(i)
                 start.append(a)
                 end.append(b)
         return cls(k, tuple(span), edges, range(len(edges)), edge, start, end)
@@ -79,21 +83,6 @@ class CoreWindowIndex:
     def by_edge(self) -> Mapping[TemporalEdge, list[tuple[int, int]]]:
         """Read-only: span edge -> its (start, end) windows, made on demand."""
         return _ByEdge(self)
-
-    def window_ids(self) -> dict[int, range]:
-        """Edge id -> the ids of its windows, for each edge holding any;
-        found once and kept."""
-        if self._where is None:
-            where = {}
-            col, n, i = self.edge, len(self.edge), 0
-            while i < n:
-                e, j = col[i], i + 1
-                while j < n and col[j] == e:
-                    j += 1
-                where[e] = range(i, j)
-                i = j
-            self._where = where
-        return self._where
 
     def to_text(self, labels=None) -> str:
         """One line per edge holding at least one window: '(u,v,t): [s,e], ...'."""
@@ -130,7 +119,9 @@ class _ByEdge(Mapping):
             raise KeyError(e) from None
         if i not in index.ids:
             raise KeyError(e)
-        return [(index.start[j], index.end[j]) for j in index.window_ids().get(i, ())]
+        lo = bisect_left(index.edge, i)
+        hi = bisect_right(index.edge, i, lo)
+        return list(zip(index.start[lo:hi], index.end[lo:hi]))
 
 
 def build_core_windows(g: TemporalGraph, k: int, span: tuple[int, int],
@@ -154,8 +145,7 @@ def build_core_windows(g: TemporalGraph, k: int, span: tuple[int, int],
     edge, start, end = array("i"), array("i"), array("i")
     add_edge, add_start, add_end = edge.append, start.append, end.append
     for block in range(ids.start, ids.stop, _BLOCK):
-        if deadline is not None and time.perf_counter() > deadline:
-            raise BudgetExceeded(f"window build exceeded its deadline at edge {block}")
+        check_deadline(deadline, "window build at edge", block)
         stop = min(block + _BLOCK, ids.stop)
         for e, u, v, t in zip(range(block, stop), edge_u[block:stop],
                               edge_v[block:stop], edge_t[block:stop]):

@@ -6,13 +6,14 @@ import random
 import time
 import tracemalloc
 from math import inf
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tempcore import (BudgetExceeded, EmptyGraphError, TemporalGraph,
-                      brute_core_times, build_core_times, coretime,
+                      brute_core_times, build_core_times, coretime, graph,
                       temporal_kcore)
 from tempcore.synth import burst_graph, random_graph
 
@@ -57,6 +58,16 @@ class TestDeadline:
     def test_past_deadline_raises(self, g14, span):
         with pytest.raises(BudgetExceeded):
             build_core_times(g14, 2, span, deadline=time.perf_counter() - 1)
+
+    def test_first_peel_checks_the_deadline(self, g14, monkeypatch):
+        # a clock past the deadline from its second reading on: the check
+        # before the first start time's peel passes, one inside it raises
+        readings = iter([0.0])
+        monkeypatch.setattr(graph, "time",
+                            SimpleNamespace(perf_counter=lambda: next(readings, 2.0)))
+        with pytest.raises(BudgetExceeded) as info:
+            build_core_times(g14, 2, (1, 7), deadline=1.0)
+        assert info.traceback[-2].name == "_initial_core_times"
 
 
 class TestLookup:

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from tempcore import (BudgetExceeded, FullSink, ResultSink, SizesSink,
+from tempcore import (BudgetExceeded, FullSink, RecordSink, ResultSink,
                       TemporalEdge, brute_enumerate, build_core_times,
                       build_core_windows, canonical_edges, enumerate_cores,
                       enumerate_cores_baseline, make_sink)
@@ -51,7 +51,7 @@ class TestScanStart:
         # ends 3,3 start later than ts=1; the end-5 group is its only emission
         cwi = hand_index((1, 5), [((0, 1, 2), 2, 3), ((0, 2, 2), 2, 3),
                                   ((1, 2, 1), 1, 5)])
-        sink = SizesSink()
+        sink = RecordSink("sizes")
         enumerate_cores(cwi, (1, 5), sink)
         assert [(r.ts, r.te, r.size) for r in sink.records if r.ts == 1] == \
             [(1, 5, 3)]
@@ -59,7 +59,7 @@ class TestScanStart:
     def test_single_equal_end_run(self):
         cwi = hand_index((1, 4), [((0, 1, 1), 1, 4), ((0, 2, 1), 1, 4),
                                   ((1, 2, 1), 1, 4)])
-        sink = SizesSink()
+        sink = RecordSink("sizes")
         st = enumerate_cores(cwi, (1, 4), sink)
         assert st.cores == 1
         assert sink.records[0].size == 3
@@ -167,6 +167,8 @@ class TestEnumerate:
             items = list(cwi.by_edge.items())
             random.Random(seed).shuffle(items)
             shuffled = CoreWindowIndex.from_windows(cwi.k, cwi.span, dict(items))
+            assert (shuffled.edge, shuffled.start, shuffled.end) == \
+                (cwi.edge, cwi.start, cwi.end)
             other = FullSink()
             enumerate_cores(shuffled, (1, 7), other)
             assert result_map(other.records) == want

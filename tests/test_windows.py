@@ -14,6 +14,7 @@ from tempcore import (BudgetExceeded, EmptyGraphError, TemporalGraph,
                       brute_core_windows, build_core_times, build_core_windows,
                       temporal_kcore)
 from tempcore.synth import burst_graph, random_graph
+from tempcore.windows import CoreWindowIndex
 
 from .conftest import GOLDEN_WINDOWS, dense_edge, windows_by_label
 
@@ -155,6 +156,28 @@ def test_columns_match_oracle(triples, data):
     for k in (1, 2, 3, 4):
         built = build_both(g, k, (a, b))
         assert columns(built) == oracle_columns(brute_core_windows(g, k, (a, b))), k
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
+                          st.integers(1, 6)), min_size=5, max_size=40),
+       st.data())
+def test_windows_in_edge_then_start_order(triples, data):
+    # by_edge and the baseline bisect the edge column of every index, built
+    # or made from a mapping in any order
+    try:
+        g = TemporalGraph.from_triples(triples)
+    except EmptyGraphError:
+        return
+    a = data.draw(st.integers(1, g.t_count), label="ts")
+    b = data.draw(st.integers(a, g.t_count), label="te")
+    for k in (1, 2, 3):
+        built = build_both(g, k, (a, b))
+        made = CoreWindowIndex.from_windows(k, (a, b),
+                                            dict(reversed(list(built.by_edge.items()))))
+        for cwi in (built, made):
+            keys = list(zip(cwi.edge, cwi.start))
+            assert keys == sorted(set(keys)), k
 
 
 def test_index_memory_per_window():

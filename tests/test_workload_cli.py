@@ -474,6 +474,28 @@ class TestCliBench:
             "bench: cell k_pct=100 (k=2), t_pct=20: no width-1 range with a "
             "2-core found after 200 attempts")
 
+    def test_rows_are_written_as_cells_finish(self, g14_file, tmp_path,
+                                              monkeypatch):
+        # a failing second cell leaves the first cell's row written
+        calls = 0
+        run = tempcore.cli.run_query
+
+        def second_fails(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            if calls == 2:
+                raise ValueError("second cell failed")
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(tempcore.cli, "run_query", second_fails)
+        out = tmp_path / "bench.tsv"
+        assert main(["bench", "--input", g14_file, "--k-pcts", "100",
+                     "--t-pcts", "100", "--reps", "1", "--algos", "enum,enumbase",
+                     "--out", str(out)]) == 1
+        header, row = out.read_text().splitlines()
+        assert header.startswith("k_pct\t")
+        assert row.split("\t")[5] == "enum" and row.endswith("\tok")
+
     def test_zero_budget_is_unlimited(self, g14_file, capsys):
         # as in query, --budget 0 sets no deadline
         assert main(["bench", "--input", g14_file, "--k-pcts", "100",
