@@ -124,17 +124,13 @@ def build_core_times(g: TemporalGraph, k: int, span: tuple[int, int],
 
     for ts in range(ts_lo + 1, ts_hi + 1):
         check_deadline(deadline, "core times at start", ts)
-        pending: list[int] = []
-        in_pending: set[int] = set()
-        for i in range(t_off[ts - 1], t_off[ts]):
-            for x in (edge_u[i], edge_v[i]):
-                if ct[x] is not inf and x not in in_pending:
-                    in_pending.add(x)
-                    pending.append(x)
+        # the vertices to re-evaluate; popitem takes the last one added,
+        # and adding one already there leaves it where it is
+        pending = dict.fromkeys(x for i in range(t_off[ts - 1], t_off[ts])
+                                for x in (edge_u[i], edge_v[i]) if ct[x] is not inf)
         changed: set[int] = set()
         while pending:
-            x = pending.pop()
-            in_pending.discard(x)
+            x = pending.popitem()[0]
             old = ct[x]
             hi = span_end.get(x)
             if hi is None:
@@ -146,10 +142,8 @@ def build_core_times(g: TemporalGraph, k: int, span: tuple[int, int],
                 for y, t in first.items():
                     # inf never satisfies the upper bound, so no check
                     # for neighbours already out of every core
-                    if ((t if t > old else old) <= ct[y] < (t if t > new else new)
-                            and y not in in_pending):
-                        in_pending.add(y)
-                        pending.append(y)
+                    if (t if t > old else old) <= ct[y] < (t if t > new else new):
+                        pending[y] = None
         for x in changed:
             add_v(x)
             add_start(ts)
@@ -184,8 +178,6 @@ def _local_core_time(adj_t: list[int], adj_y: list[int], lo: int, hi: int,
     if len(first) < k:
         return inf, first
     terms = [t if t >= (c := ct[y]) else c for y, t in first.items()]
-    if k == 1:
-        return min(terms), first
     terms.sort()
     return terms[k - 1], first
 

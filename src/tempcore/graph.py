@@ -168,7 +168,7 @@ class TemporalGraph:
 
     @classmethod
     def from_triples(cls, triples: Iterable[tuple[int, int, int]]) -> "TemporalGraph":
-        """Build a graph from raw (u, v, t) triples.
+        """Build a graph from raw (u, v, t) triples, read in one pass.
 
         Self-loops are dropped, endpoints canonicalized, duplicate triples
         collapsed, timestamps compressed.
@@ -232,10 +232,8 @@ class EdgeView(Sequence):
     def __len__(self) -> int:
         return len(self._g.edge_u)
 
-    def __getitem__(self, i):
+    def __getitem__(self, i: int) -> TemporalEdge:
         g = self._g
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
         return TemporalEdge(g.edge_u[i], g.edge_v[i], g.edge_t[i])
 
     def __iter__(self) -> Iterator[TemporalEdge]:
@@ -252,9 +250,13 @@ def parse_edge_list(stream: Iterable[str]) -> TemporalGraph:
 
     Lines starting with '#' or '%' and blank lines are skipped; fields past
     the third are ignored. Raises ParseError with the line number for a
-    malformed line, EmptyGraphError when nothing usable remains.
+    malformed line, EmptyGraphError when nothing usable remains. The triples
+    stream into from_triples, so no list of them is built.
     """
-    triples: list[tuple[int, int, int]] = []
+    return TemporalGraph.from_triples(_triples(stream))
+
+
+def _triples(stream: Iterable[str]) -> Iterator[tuple[int, int, int]]:
     for line_no, line in enumerate(stream, start=1):
         stripped = line.strip()
         if not stripped or stripped[0] in "#%":
@@ -268,53 +270,48 @@ def parse_edge_list(stream: Iterable[str]) -> TemporalGraph:
             raise ParseError(line_no, f"non-integer field in {fields[:3]!r}") from None
         if u < 0 or v < 0:
             raise ParseError(line_no, "negative vertex id")
-        triples.append((u, v, t))
-    if not triples:
-        raise EmptyGraphError("input contains no edges")
-    return TemporalGraph.from_triples(triples)
+        yield u, v, t
 
 
 class WindowPeel:
     """The k-core of the window [lo, hi], shrunk from the right.
 
     nbr maps each vertex of the core to its in-core neighbours, each with
-    the number of window edges joining the pair. drop(te) removes the edges
-    of end time te, the window's current last timestamp, and peels to the
-    k-core again.
+    the earliest time in the window of an edge joining the pair. drop(te)
+    removes the edges of end time te, the window's current last timestamp,
+    and peels to the k-core again: a pair's later edges are gone by then,
+    so it leaves exactly when te is its earliest time.
     """
 
     __slots__ = ("k", "nbr", "g")
 
     def __init__(self, g: TemporalGraph, k: int, lo: int, hi: int) -> None:
         nbr: dict[int, dict[int, int]] = {}
-        edge_u, edge_v = g.edge_u, g.edge_v
-        # indexed, not sliced: a slice of the whole range would copy it
+        edge_u, edge_v, edge_t = g.edge_u, g.edge_v, g.edge_t
+        # indexed, not sliced: a slice of the whole range would copy it;
+        # ids ascend in time, so a pair's first edge sets its time
         for i in g.ids_in(lo, hi):
             u = edge_u[i]
             v = edge_v[i]
-            du = nbr.setdefault(u, {})
-            du[v] = du.get(v, 0) + 1
-            dv = nbr.setdefault(v, {})
-            dv[u] = dv.get(u, 0) + 1
+            t = edge_t[i]
+            nbr.setdefault(u, {}).setdefault(v, t)
+            nbr.setdefault(v, {}).setdefault(u, t)
         self.k = k
         self.nbr = nbr
         self.g = g
         self._peel([v for v, d in nbr.items() if len(d) < k])
 
     def _peel(self, queue: list[int]) -> list[int]:
+        # a vertex is queued once, when its degree falls below k, and a
+        # peeled vertex leaves every map, so all maps hold live vertices
         nbr = self.nbr
         k1 = self.k - 1
         peeled = []
         while queue:
             w = queue.pop()
-            d = nbr.pop(w, None)
-            if d is None:
-                continue
             peeled.append(w)
-            for x in d:
-                dx = nbr.get(x)
-                if dx is None:
-                    continue
+            for x in nbr.pop(w):
+                dx = nbr[x]
                 del dx[w]
                 if len(dx) == k1:
                     queue.append(x)
@@ -327,14 +324,7 @@ class WindowPeel:
         queue = []
         for u, v, _ in self.g.edges_in(te, te):
             du = nbr.get(u)
-            if du is None:
-                continue
-            c = du.get(v)
-            if c is None:
-                continue
-            if c > 1:
-                du[v] = c - 1
-                nbr[v][u] = c - 1
+            if du is None or du.get(v) != te:
                 continue
             del du[v]
             dv = nbr[v]

@@ -11,8 +11,9 @@ give. brute_enumerate also visits every window but maintains the core
 decrementally per start time (for a fixed start, membership is monotone in
 the end time), which keeps exhaustive scans feasible on larger inputs. It
 shares that right-shrink peel, graph's WindowPeel, with the first start
-time of the core-time index, so a dedicated test pins its per-window
-behaviour to temporal_kcore, which shares nothing with either.
+time of the core-time index and with workload.place_span, which peels each
+drawn range with it, so a dedicated test pins WindowPeel's per-window
+behaviour to temporal_kcore, which shares nothing with any of them.
 """
 
 from __future__ import annotations

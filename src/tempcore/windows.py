@@ -33,7 +33,8 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Mapping, Sequence
 
 from .coretime import CoreTimeIndex
-from .graph import TemporalEdge, TemporalGraph, canonical_edges, check_deadline
+from .graph import (TemporalEdge, TemporalGraph, canonical_edges, check_deadline,
+                    compress_timestamps)
 
 # span edges walked between two deadline checks
 _BLOCK = 4096
@@ -65,15 +66,21 @@ class CoreWindowIndex:
                      ) -> "CoreWindowIndex":
         """An index holding the given (start, end) windows per edge; the
         edges' ids number them in (t, u, v) order, whatever the mapping's
-        order."""
+        order. Its edges are those of a graph over the mapping's edges, with
+        their own ids and times, so by_edge finds an id by bisection."""
         edges = canonical_edges(by_edge)
+        n = 1 + max((max(e.u, e.v) for e in edges), default=-1)
+        t_count = max(span[1], edges[-1].t if edges else 0)
+        g = TemporalGraph(list(range(n)), compress_timestamps(range(1, t_count + 1)),
+                          [e.u for e in edges], [e.v for e in edges],
+                          [e.t for e in edges])
         edge, start, end = array("i"), array("i"), array("i")
         for i, e in enumerate(edges):
             for a, b in sorted(by_edge[e]):
                 edge.append(i)
                 start.append(a)
                 end.append(b)
-        return cls(k, tuple(span), edges, range(len(edges)), edge, start, end)
+        return cls(k, tuple(span), g.edges, range(g.m), edge, start, end)
 
     @property
     def size(self) -> int:

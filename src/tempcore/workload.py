@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import TextIO
 
 from .coretime import build_core_times
-from .graph import TemporalGraph, canonical_edges, stats
-from .oracle import brute_enumerate, temporal_kcore
+from .graph import TemporalGraph, WindowPeel, canonical_edges, stats
+from .oracle import brute_enumerate
 from .sweep import (CoreResult, RecordSink, enumerate_cores,
                     enumerate_cores_baseline, make_sink)
 from .windows import build_core_windows
@@ -55,18 +55,21 @@ def place_span(g: TemporalGraph, k: int, width: int,
                rng: random.Random) -> tuple[tuple[int, int], int]:
     """Uniformly place a width-wide range that contains at least one k-core.
 
-    A draw is rejected unless the k-core of the whole range is non-empty;
-    a k-core only grows with its window, so that is exactly when some
-    sub-window holds one. Returns the span and the number of rejected draws;
-    raises WorkloadError when MAX_ATTEMPTS draws all fail.
+    A draw is rejected unless the k-core of the whole range, peeled by
+    WindowPeel, is non-empty; a k-core only grows with its window, so that
+    is exactly when some sub-window holds one. Returns the span and the
+    number of rejected draws; raises ValueError for k < 1 or a width
+    outside 1..t_count, and WorkloadError when MAX_ATTEMPTS draws all fail.
     """
+    if k < 1:
+        raise ValueError("k must be at least 1")
     if not 1 <= width <= g.t_count:
         raise ValueError(f"width {width} outside 1..{g.t_count}")
     rejections = 0
     for _ in range(MAX_ATTEMPTS):
         ts0 = rng.randint(1, g.t_count - width + 1)
         span = (ts0, ts0 + width - 1)
-        if temporal_kcore(g, k, span) is not None:
+        if WindowPeel(g, k, *span).nbr:
             return span, rejections
         rejections += 1
     raise WorkloadError(f"no width-{width} range with a {k}-core found "

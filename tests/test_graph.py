@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from tempcore import (EmptyGraphError, ParseError, TemporalEdge, TemporalGraph,
                       compress_timestamps, parse_edge_list, static_coreness,
                       stats, temporal_kcore)
+from tempcore.graph import WindowPeel
 from tempcore.synth import burst_graph, random_graph
 
 
@@ -262,3 +263,35 @@ def test_canonical_edge_invariants_random():
                 [e for e in edges if e.t == t]
         assert [g.edge_id(*e) for e in edges] == list(range(g.m))
         assert g.ids_in(1, g.t_count) == range(g.m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(1, 6)),
+                min_size=1, max_size=40),
+       st.data())
+def test_window_peel_matches_temporal_kcore(triples, data):
+    # six vertices over six times, so many pairs are joined by parallel
+    # edges; after each drop the peel holds the core of the shrunk window,
+    # each pair mapped to its earliest time there
+    g = build(triples)
+    if g is None:
+        return
+    lo = data.draw(st.integers(1, g.t_count), label="lo")
+    hi = data.draw(st.integers(lo, g.t_count), label="hi")
+    for k in (1, 2, 3):
+        peel = WindowPeel(g, k, lo, hi)
+        for e in range(hi, lo - 1, -1):
+            if e < hi:
+                before = set(peel.nbr)
+                peeled = peel.drop(e + 1)
+                assert len(peeled) == len(set(peeled))
+                assert set(peeled) == before - set(peel.nbr), (k, e)
+            core = temporal_kcore(g, k, (lo, e))
+            vertices = set() if core is None else core.vertices
+            assert set(peel.nbr) == vertices, (k, e)
+            for x, d in peel.nbr.items():
+                first: dict[int, int] = {}
+                for y, t in g.neighbors_in(x, lo, e):
+                    if y in vertices:
+                        first.setdefault(y, t)
+                assert d == first, (k, e, x)

@@ -249,6 +249,11 @@ class TestBaseline:
         assert st.result_size == 105
         assert {(r.ts, r.te): r.size for r in sink.records} == GOLDEN_FULL_CORES
 
+    def test_index_of_another_span_is_rejected(self, g14):
+        cwi = windows_index(g14, 2, (1, 7))
+        with pytest.raises(ValueError, match="different span"):
+            enumerate_cores_baseline(cwi, (1, 6), FullSink())
+
 
 class TestSinks:
     def test_modes_agree_on_counts(self, g14):

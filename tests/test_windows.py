@@ -70,6 +70,14 @@ class TestGolden:
         assert "(v2,v9,1): [1,4]" in text
         assert "(v1,v3,6): [2,6], [6,7]" in text
 
+    def test_to_text_skips_edges_without_windows(self, g14):
+        # over [1,3] only the triangle's three edges hold windows
+        cwi = build_both(g14, 2, (1, 3))
+        lines = cwi.to_text(g14.labels).splitlines()
+        assert [line.split(":")[0] for line in lines] == \
+            ["(v1,v4,2)", "(v1,v2,3)", "(v2,v4,3)"]
+        assert len(cwi.by_edge) == 5
+
 
 class TestProperties:
     def test_matches_oracle_on_random_instances(self):
@@ -194,3 +202,17 @@ def test_index_memory_per_window():
         tracemalloc.stop()
     assert cwi.size > 10_000
     assert held < 64 * cwi.size, (held, cwi.size)
+
+
+def test_made_index_reads_by_edge_like_the_built_one():
+    # every index's edges are a graph's, so by_edge finds each key's id by
+    # bisection and reading a made index costs what reading a built one does
+    g = burst_graph(5, timestamps=2000, clique=10, target_edges=12000)
+    span = (1, g.t_count)
+    built = build_both(g, 2, span)
+    made = CoreWindowIndex.from_windows(2, span, dict(built.by_edge))
+    started = time.perf_counter()
+    read = dict(made.by_edge)
+    elapsed = time.perf_counter() - started
+    assert read == dict(built.by_edge)
+    assert elapsed < 1.0, elapsed

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import io
 import random
 import re
@@ -60,6 +61,10 @@ class TestGenQueries:
         with pytest.raises(WorkloadError):
             place_span(g14, 3, 7, random.Random(1))
 
+    def test_k_below_one_is_rejected(self, g14):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            place_span(g14, 0, 3, random.Random(1))
+
     def test_impossible_cell_fails_with_name(self):
         # a triangle spread over three timestamps holds no 2-core in any
         # single-timestamp window, so the narrow cell can never be satisfied
@@ -79,6 +84,24 @@ class TestGenQueries:
         first = gen_queries(g14, [100, 50], [40, 100], 3, seed=11)
         second = gen_queries(g14, [100, 50], [40, 100], 3, seed=11)
         assert first == second
+
+
+def test_workload_takes_only_brute_enumerate_from_the_oracle():
+    # spans are placed with graph.WindowPeel; the oracle serves only the
+    # brute algorithm, so no production path peels each window from scratch
+    with open(tempcore.workload.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    taken = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            for alias in node.names:
+                if "oracle" in module or alias.name == "oracle":
+                    taken.add((module, alias.name))
+        elif isinstance(node, ast.Import):
+            taken.update((alias.name, None) for alias in node.names
+                         if "oracle" in alias.name)
+    assert taken == {(".oracle", "brute_enumerate")}
 
 
 class _CountingWriter:
@@ -216,6 +239,19 @@ class TestCliQuery:
 
     def test_missing_range_is_usage_error(self, g14_file, capsys):
         assert main(["query", "--input", g14_file, "--k", "2"]) == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["query", "--k", "2", "--raw-ts", "1"],
+         "--raw-ts and --raw-te must be given together"),
+        (["query", "--ts", "1", "--te", "7"], "give --k or --k-pct"),
+        (["bench", "--algos", "enum,nope"], "unknown algorithm 'nope'"),
+    ])
+    def test_usage_errors_exit_1_with_message(self, g14_file, capsys, argv,
+                                              message):
+        assert main([argv[0], "--input", g14_file] + argv[1:]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"tempcore: error: {message}\n"
+        assert captured.out == ""
 
     def test_range_outside_domain_exits_1(self, g14_file, capsys):
         assert main(["query", "--input", g14_file, "--k", "2",
