@@ -16,6 +16,7 @@ import random
 import statistics
 import sys
 import time
+from contextlib import nullcontext
 
 from .graph import (BudgetExceeded, EmptyGraphError, ParseError, TemporalGraph,
                     parse_edge_list, stats)
@@ -51,21 +52,30 @@ def _at_least(value, low, flag: str) -> None:
         raise ValueError(f"{flag} must be at least {low}, got {value}")
 
 
+def _open_out(path: str | None):
+    return open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout)
+
+
 def _resolve_span(g: TemporalGraph, k: int, args) -> tuple[int, int]:
-    if args.t_pct is not None:
+    ways = {"--ts/--te": (args.ts, args.te),
+            "--raw-ts/--raw-te": (args.raw_ts, args.raw_te),
+            "--t-pct": (args.t_pct,)}
+    given = [way for way, values in ways.items() if any(v is not None for v in values)]
+    if len(given) != 1:
+        raise ValueError(f"give one of {', '.join(ways)}"
+                         + (f", not {' and '.join(given)}" if given else ""))
+    way = given[0]
+    if way == "--t-pct":
         width = resolve_width(args.t_pct, g.t_count)
-        span, _ = place_span(g, k, width, random.Random(args.seed))
-        return span
-    if args.raw_ts is not None or args.raw_te is not None:
-        if args.raw_ts is None or args.raw_te is None:
-            raise ValueError("--raw-ts and --raw-te must be given together")
-        return (g.time_domain.rank(args.raw_ts), g.time_domain.rank(args.raw_te))
-    if args.ts is None or args.te is None:
-        raise ValueError("give --ts/--te, --raw-ts/--raw-te, or --t-pct")
-    return args.ts, args.te
+        return place_span(g, k, width, random.Random(args.seed))[0]
+    if None in ways[way]:
+        raise ValueError(f"{way.replace('/', ' and ')} must be given together")
+    return ways[way] if way == "--ts/--te" else tuple(map(g.time_domain.rank, ways[way]))
 
 
 def _resolve_k(g: TemporalGraph, args) -> int:
+    if args.k is not None and args.k_pct is not None:
+        raise ValueError("give --k or --k-pct, not both")
     if args.k is not None:
         return args.k
     if args.k_pct is not None:
@@ -89,15 +99,11 @@ def _cmd_query(args) -> int:
     # --out is opened only once the query is known to be valid
     validate_query(g, k, span, args.algo, args.mode)
     deadline = time.perf_counter() + args.budget if args.budget else None
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
+    with _open_out(args.out) as out:
         _, report = run_query(g, k, span, args.algo, args.mode, deadline=deadline,
                               out=out)
         if args.mode == "count":
             print(f"cores={report.cores} |R|={report.result_size}", file=out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     print(report.line(), file=sys.stderr)
     return 0
 
@@ -138,23 +144,22 @@ def _cmd_bench(args) -> int:
     g = _load(args.input)
     st = stats(g)
     algos = [a for a in args.algos.split(",") if a]
+    if not (algos and args.k_pcts and args.t_pcts):
+        raise ValueError("--algos, --k-pcts and --t-pcts must each name at least one")
     for a in algos:
         if a not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {a!r}")
     # a percentage outside (0, 100] fails here, before the header is printed
     ks = [(k_pct, resolve_k(k_pct, st.k_max)) for k_pct in args.k_pcts]
-    for t_pct in args.t_pcts:
-        resolve_width(t_pct, g.t_count)
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    widths = [(t_pct, resolve_width(t_pct, g.t_count)) for t_pct in args.t_pcts]
     header = ("k_pct\tt_pct\tk\tts\tte\talgo\treps\tcores\tresult_size\t"
               "core_times_s\twindows_s\tenum_s\ttotal_s\tstatus")
     statuses: list[str] = []
-    try:
+    with _open_out(args.out) as out:
         print(header, file=out)
         for k_pct, k in ks:
-            for t_pct in args.t_pcts:
+            for t_pct, width in widths:
                 # the span gen_queries(g, [k_pct], [t_pct], 1, seed) draws
-                width = resolve_width(t_pct, g.t_count)
                 try:
                     (ts, te), _ = place_span(g, k, width, random.Random(args.seed))
                 except WorkloadError as exc:
@@ -187,10 +192,7 @@ def _cmd_bench(args) -> int:
                           f"{statistics.fmean([r.t_enumerate for r in reports]):.4f}\t"
                           f"{statistics.fmean([r.t_total for r in reports]):.4f}\t{status}",
                           file=out, flush=True)
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    if statuses and all(s == "timeout" for s in statuses):
+    if all(s == "timeout" for s in statuses):
         return 3
     return 0
 

@@ -17,7 +17,8 @@ core time is the k-th smallest, over distinct in-window neighbours, of
 max(earliest connecting timestamp, neighbour core time). True core times are
 the least fixpoint of that rule, and iterating it upward from the previous
 start time's values (which are valid lower bounds) converges exactly there,
-so only vertices reachable from expired edges are ever touched.
+so only vertices reachable from expired edges are ever touched. A repair
+bisects its vertex's adjacency afresh, keeping no state but the core times.
 
 The pruned push: a neighbour y reads x only through its term
 max(t_xy, ct[x]), and raising one term of a multiset moves its k-th
@@ -106,9 +107,6 @@ def build_core_times(g: TemporalGraph, k: int, span: tuple[int, int],
     n = g.n
     off, adj_t, adj_y = g.adj_off, g.adj_t, g.adj_y
     edge_u, edge_v, t_off = g.edge_u, g.edge_v, g.t_off
-    # per repaired vertex, where its adjacency passes the span end; most
-    # vertices of a large graph are never repaired
-    span_end: dict[int, int] = {}
 
     check_deadline(deadline, "core times at start", ts_lo)
     ct: list = _initial_core_times(g, k, span, deadline)
@@ -132,9 +130,7 @@ def build_core_times(g: TemporalGraph, k: int, span: tuple[int, int],
         while pending:
             x = pending.popitem()[0]
             old = ct[x]
-            hi = span_end.get(x)
-            if hi is None:
-                hi = span_end[x] = bisect_left(adj_t, ts_hi + 1, off[x], off[x + 1])
+            hi = bisect_left(adj_t, ts_hi + 1, off[x], off[x + 1])
             new, first = _local_core_time(adj_t, adj_y, off[x], hi, ts, k, ct)
             if new > old:
                 ct[x] = new

@@ -39,6 +39,8 @@ class CoreSubgraph:
 def temporal_kcore(g: TemporalGraph, k: int, window: tuple[int, int]) -> CoreSubgraph | None:
     """k-core of the window projection, or None when every vertex peels out.
 
+    A vertex is queued once, when its degree first falls below k, and a
+    popped vertex leaves every neighbour's set, so no set holds a dead one.
     The tightest time interval is taken over the surviving edges, so it may
     be narrower than the window itself.
     """
@@ -54,13 +56,8 @@ def temporal_kcore(g: TemporalGraph, k: int, window: tuple[int, int]) -> CoreSub
     queue = [v for v, s in nbrs.items() if len(s) < k]
     while queue:
         v = queue.pop()
-        s = nbrs.pop(v, None)
-        if s is None:
-            continue
-        for u in s:
-            su = nbrs.get(u)
-            if su is None:
-                continue
+        for u in nbrs.pop(v):
+            su = nbrs[u]
             su.discard(v)
             if len(su) == k - 1:
                 queue.append(u)

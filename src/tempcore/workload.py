@@ -80,12 +80,14 @@ def gen_queries(g: TemporalGraph, k_pcts, t_pcts, count: int,
                 seed: int) -> tuple[list[QuerySpec], int]:
     """Seeded workload generation with rejection sampling.
 
-    Returns the specs plus the number of rejected draws; raises
-    WorkloadError, naming the cell, when a cell cannot be satisfied within
-    MAX_ATTEMPTS draws per query.
+    Returns the specs plus the number of rejected draws; raises ValueError
+    for a count below 1 or no percentages, and WorkloadError, naming the
+    cell, when a cell cannot be satisfied within MAX_ATTEMPTS draws per query.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
+    if not k_pcts or not t_pcts:
+        raise ValueError("give at least one k and one range percentage")
     k_max = stats(g).k_max
     rng = random.Random(seed)
     specs: list[QuerySpec] = []

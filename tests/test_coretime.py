@@ -84,6 +84,11 @@ class TestLookup:
             index.at(0, 1)
         with pytest.raises(ValueError):
             index.at(99, 3)
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            build_core_times(g14, 0, (2, 6))
+        for span in ((0, 6), (2, 8), (6, 2)):
+            with pytest.raises(ValueError, match="outside 1..7"):
+                build_core_times(g14, 2, span)
 
     def test_to_text_mirrors_runs(self, g14):
         index = build_core_times(g14, 2, (1, 7))

@@ -89,6 +89,11 @@ class TestCompress:
         dom = g14.time_domain
         for e in g14.edges:
             assert dom.rank(dom.raw(e.t)) == e.t
+        with pytest.raises(ValueError, match="unknown raw timestamp 8"):
+            dom.rank(8)
+        for rank in (0, 8):
+            with pytest.raises(ValueError, match=f"rank {rank} outside 1..7"):
+                dom.raw(rank)
 
 
 class TestNeighborsIn:
@@ -106,6 +111,9 @@ class TestNeighborsIn:
     def test_unknown_vertex(self, g14):
         with pytest.raises(ValueError):
             g14.neighbors_in(99, 1, 7)
+        for lo, hi in ((0, 7), (1, 8), (5, 4)):
+            with pytest.raises(ValueError, match="outside 1..7"):
+                g14.neighbors_in(0, lo, hi)
 
     def test_full_range_matches_degree(self, g14):
         for v in range(g14.n):
@@ -116,6 +124,9 @@ class TestNeighborsIn:
 class TestCoreness:
     def test_fixture_full_range(self, g14):
         assert static_coreness(g14, (1, 7)) == [2] * 9
+        for window in ((0, 7), (1, 8), (5, 4)):
+            with pytest.raises(ValueError, match="outside 1..7"):
+                static_coreness(g14, window)
 
     def test_single_edge_window(self, g14, g14_dense):
         core = static_coreness(g14, (1, 1))
@@ -262,6 +273,10 @@ def test_canonical_edge_invariants_random():
             assert [edges[i] for i in g.ids_in(t, t)] == \
                 [e for e in edges if e.t == t]
         assert [g.edge_id(*e) for e in edges] == list(range(g.m))
+        # vertex 12 is never drawn; times 0 and t_count + 1 hold no edges
+        for u, v, t in ((0, 12, 1), (0, 1, 0), (0, 1, g.t_count + 1)):
+            with pytest.raises(ValueError, match="no edge"):
+                g.edge_id(u, v, t)
         assert g.ids_in(1, g.t_count) == range(g.m)
 
 

@@ -50,6 +50,14 @@ class TestTemporalKCore:
     def test_bad_k_rejected(self, g14):
         with pytest.raises(ValueError):
             temporal_kcore(g14, 0, (1, 7))
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            brute_enumerate(g14, 0, (1, 7))
+        # and a window or span outside the domain
+        for window in ((0, 7), (1, 8), (5, 4)):
+            with pytest.raises(ValueError, match="outside 1..7"):
+                temporal_kcore(g14, 2, window)
+            with pytest.raises(ValueError, match="outside 1..7"):
+                brute_enumerate(g14, 2, window)
 
     def test_monotone_in_window(self):
         rng = random.Random(99)

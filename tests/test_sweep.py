@@ -8,7 +8,7 @@ import time
 import pytest
 
 from tempcore import (BudgetExceeded, FullSink, RecordSink, ResultSink,
-                      TemporalEdge, brute_enumerate, build_core_times,
+                      TemporalEdge, TemporalGraph, brute_enumerate, build_core_times,
                       build_core_windows, canonical_edges, enumerate_cores,
                       enumerate_cores_baseline, make_sink)
 from tempcore.synth import burst_graph, random_graph
@@ -307,3 +307,23 @@ class TestAgreement:
             brute = {c.edges: c.tti for c in brute_enumerate(g, k, (a, b)).cores}
             assert result_map(sweep_sink.records) == brute
             assert result_map(base_sink.records) == brute
+
+    def test_sweep_matches_brute_at_mid_scale(self):
+        # far past the corpus: the uniform graph U20k (20,000 draws from
+        # random.Random(1)) cut to t <= 60, 500 vertices and 2,388 edges,
+        # with up to 1,474 cores and 1.3M result edges a case; and the 12k
+        # burst graph at k=2 (k=1 scans there take half a minute)
+        rng = random.Random(1)
+        draws = [(rng.randrange(500), rng.randrange(500), rng.randint(1, 500))
+                 for _ in range(20_000)]
+        uniform = TemporalGraph.from_triples([d for d in draws if d[2] <= 60])
+        assert (uniform.n, uniform.m, uniform.t_count) == (500, 2388, 60)
+        burst = burst_graph(5, timestamps=2000, clique=10, target_edges=12000)
+        cases = [(uniform, k, span) for k in (2, 3, 4) for span in ((1, 60), (11, 40))]
+        cases += [(burst, 2, (801, 1000)), (burst, 2, (1, 300))]
+        for g, k, span in cases:
+            sink = FullSink()
+            st = enumerate_cores(windows_index(g, k, span), span, sink)
+            brute = brute_enumerate(g, k, span).cores
+            assert st.cores == len(sink.records) == len(brute), (k, span)
+            assert result_map(sink.records) == {c.edges: c.tti for c in brute}, (k, span)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tempcore import (BudgetExceeded, EmptyGraphError, TemporalGraph,
+from tempcore import (BudgetExceeded, EmptyGraphError, TemporalEdge, TemporalGraph,
                       brute_core_windows, build_core_times, build_core_windows,
                       temporal_kcore)
 from tempcore.synth import burst_graph, random_graph
@@ -42,8 +42,11 @@ class TestGolden:
             (3, 9, 4): ((1, 4),),
         }
         assert windows_by_label(cwi, g14) == expected
-        # out-of-range edges are not in the index
+        # out-of-range edges are not in the index, nor are edges g14 lacks
         assert dense_edge(g14, 6, 7, 5) not in cwi.by_edge
+        for missing in (dense_edge(g14, 1, 9, 1), TemporalEdge(0, 1, 99), "no edge"):
+            with pytest.raises(KeyError):
+                cwi.by_edge[missing]
 
     def test_no_windows_above_kmax(self, g14):
         cwi = build_both(g14, 3, (1, 7))

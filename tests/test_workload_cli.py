@@ -64,6 +64,15 @@ class TestGenQueries:
     def test_k_below_one_is_rejected(self, g14):
         with pytest.raises(ValueError, match="k must be at least 1"):
             place_span(g14, 0, 3, random.Random(1))
+        # as are a width outside 1..t_count, no query and no percentage
+        for width in (0, 8):
+            with pytest.raises(ValueError, match=f"width {width} outside 1..7"):
+                place_span(g14, 2, width, random.Random(1))
+        with pytest.raises(ValueError, match="count must be at least 1"):
+            gen_queries(g14, [100], [100], 0, seed=1)
+        for k_pcts, t_pcts in (([], [100]), ([100], [])):
+            with pytest.raises(ValueError, match="at least one k and one range"):
+                gen_queries(g14, k_pcts, t_pcts, 1, seed=1)
 
     def test_impossible_cell_fails_with_name(self):
         # a triangle spread over three timestamps holds no 2-core in any
@@ -172,6 +181,8 @@ class TestRunQuery:
             run_query(g14, 2, (1, 9))
         with pytest.raises(ValueError):
             run_query(g14, 2, (1, 7), algo="magic")
+        with pytest.raises(ValueError, match="unknown mode 'loud'"):
+            run_query(g14, 2, (1, 7), mode="loud")
 
 
 class TestCliStats:
@@ -245,13 +256,29 @@ class TestCliQuery:
          "--raw-ts and --raw-te must be given together"),
         (["query", "--ts", "1", "--te", "7"], "give --k or --k-pct"),
         (["bench", "--algos", "enum,nope"], "unknown algorithm 'nope'"),
+        (["query", "--k", "2", "--raw-ts", "9", "--raw-te", "7"],
+         "unknown raw timestamp 9"),
+        (["query", "--k", "2", "--k-pct", "50", "--ts", "1", "--te", "7"],
+         "give --k or --k-pct, not both"),
+        (["query", "--k", "2", "--ts", "1", "--te", "7", "--t-pct", "50"],
+         "give one of --ts/--te, --raw-ts/--raw-te, --t-pct, "
+         "not --ts/--te and --t-pct"),
+        (["query", "--k", "2", "--te", "7", "--raw-ts", "1", "--raw-te", "7"],
+         "give one of --ts/--te, --raw-ts/--raw-te, --t-pct, "
+         "not --ts/--te and --raw-ts/--raw-te"),
+        (["query", "--k", "2", "--raw-ts", "1", "--t-pct", "50"],
+         "give one of --ts/--te, --raw-ts/--raw-te, --t-pct, "
+         "not --raw-ts/--raw-te and --t-pct"),
     ])
-    def test_usage_errors_exit_1_with_message(self, g14_file, capsys, argv,
-                                              message):
-        assert main([argv[0], "--input", g14_file] + argv[1:]) == 1
+    def test_usage_errors_exit_1_with_message(self, g14_file, tmp_path, capsys,
+                                              argv, message):
+        out = tmp_path / "results.txt"
+        tail = ["--out", str(out)] if argv[0] == "query" else []
+        assert main([argv[0], "--input", g14_file] + argv[1:] + tail) == 1
         captured = capsys.readouterr()
         assert captured.err == f"tempcore: error: {message}\n"
         assert captured.out == ""
+        assert not out.exists()
 
     def test_range_outside_domain_exits_1(self, g14_file, capsys):
         assert main(["query", "--input", g14_file, "--k", "2",
@@ -366,11 +393,16 @@ class TestCliRanges:
         (["bench", "--k-pcts", "0"], "k percentage 0"),
         (["bench", "--t-pcts", "101"], "range percentage 101"),
         (["verify", "--graphs", "-3"], "--graphs"),
+        (["bench", "--algos", ","], "--algos"),
+        (["bench", "--k-pcts", ""], "--k-pcts"),
+        (["bench", "--t-pcts", ""], "--t-pcts"),
+        (["gen", "--k-pcts", ""], "at least one k and one range percentage"),
+        (["gen", "--t-pcts", ""], "at least one k and one range percentage"),
     ])
     def test_rejected_before_output(self, g14_file, tmp_path, capsys, argv,
                                     says):
         out = tmp_path / "results.txt"
-        tail = [] if argv[0] == "verify" else ["--out", str(out)]
+        tail = ["--out", str(out)] if argv[0] in ("query", "bench") else []
         assert main(argv + ["--input", g14_file] + tail) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -440,7 +472,8 @@ class TestCliVerify:
                             property(lambda index: runs(index)[:-1]))
         assert check_instance(g14, 2, (1, 7))
 
-    def test_corrupted_windows_fail_with_dump(self, g14, tmp_path, monkeypatch):
+    def test_corrupted_windows_fail_with_dump(self, g14, g14_file, tmp_path, capsys,
+                                              monkeypatch):
         dump = tmp_path / "dump.txt"
         build = tempcore.verify.build_core_windows
 
@@ -459,6 +492,16 @@ class TestCliVerify:
         assert "k=" in text
         assert any(line and not line.startswith("#")
                    for line in text.splitlines())
+        # the command reports the failure and the dump, and exits 2
+        cli_dump = tmp_path / "cli_dump.txt"
+        assert main(["verify", "--input", g14_file, "--graphs", "0",
+                     "--dump", str(cli_dump)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == ""
+        assert err[0].startswith("verify: FAIL after ")
+        assert err[-1] == f"  reproduction written to {cli_dump}"
+        assert cli_dump.read_text() == text
 
 
 class TestCliBench:
