@@ -22,7 +22,7 @@ columns = (index.offsets, index.starts, index.ends)
 held = sum(col.itemsize * len(col) for col in columns)
 print(f"index holds {index.size} runs over {g.n} vertices "
       f"in {held} bytes of columns:\n")
-print(index.to_text(g.labels))
+print(index.to_text())
 
 v1 = g.labels.index(1)
 print("\nvertex 1, start by start:")

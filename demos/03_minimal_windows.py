@@ -21,7 +21,7 @@ core_times = build_core_times(g, 2, (1, 7))
 windows = build_core_windows(g, 2, (1, 7), core_times)
 print(f"{windows.size} minimal windows across "
       f"{sum(1 for w in windows.by_edge.values() if w)} edges:\n")
-print(windows.to_text(g.labels))
+print(windows.to_text())
 
 # reconstruct the core of [2, 6] from the windows alone, then cross-check
 member = [e for e, wins in windows.by_edge.items()

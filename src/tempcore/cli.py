@@ -1,8 +1,9 @@
 """Command line front end.
 
 Subcommands: stats, query, gen, verify, bench. Exit codes: 0 success,
-1 usage or parse failure, 2 verification mismatch, 3 budget exhausted (a
-query past --budget, or every bench cell timed out). Result streams go to
+1 usage or parse failure (or a bench grid with no placeable cell), 2
+verification mismatch, 3 budget exhausted (a query past --budget, or a
+bench run in which no cell finished and some timed out). Result streams go to
 stdout (or --out); run reports and diagnostics go to stderr. query writes
 each sizes/delta/full line as its core is emitted, so a query stopped by
 --budget leaves the lines written so far, ending at a line boundary; bench
@@ -135,6 +136,8 @@ def _cmd_verify(args) -> int:
         print(f"  {failure}", file=sys.stderr)
     if outcome.dump_file:
         print(f"  reproduction written to {outcome.dump_file}", file=sys.stderr)
+    elif outcome.dump_error:
+        print(f"  reproduction not written: {outcome.dump_error}", file=sys.stderr)
     return 2
 
 
@@ -192,9 +195,11 @@ def _cmd_bench(args) -> int:
                           f"{statistics.fmean([r.t_enumerate for r in reports]):.4f}\t"
                           f"{statistics.fmean([r.t_total for r in reports]):.4f}\t{status}",
                           file=out, flush=True)
-    if all(s == "timeout" for s in statuses):
+    if "ok" in statuses:
+        return 0
+    if "timeout" in statuses:
         return 3
-    return 0
+    raise ValueError("bench measured no cell: no range of the grid could be placed")
 
 
 def _build_parser() -> _Parser:

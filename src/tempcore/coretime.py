@@ -9,7 +9,9 @@ Layout: the index holds no object per run or per vertex. Its runs are three
 flat 32-bit columns: vertex v's runs are starts[i], ends[i] for i in
 offsets[v]:offsets[v + 1], ordered by start. An end of 0 means the vertex is
 in no core from that start time on; times are ranks from 1, so 0 never
-aliases a real time. runs and at turn 0 back into None.
+aliases a real time. runs and at turn 0 back into None. The index keeps
+the graph it was built from, g: to_text names vertices by g's labels, and
+build_core_windows takes the index only for that same graph.
 
 build_core_times computes the first start time exactly with one decremental
 sweep, then repairs later start times locally. The repair rule: a vertex's
@@ -41,18 +43,19 @@ Runs = tuple[tuple[int, int | None], ...]
 
 
 class CoreTimeIndex:
-    """The core-time runs of one (k, span) query, as flat columns.
+    """The core-time runs of one (k, span) query on graph g, as flat columns.
 
     Vertex v's runs are (starts[i], ends[i]) for i in range(offsets[v],
     offsets[v + 1]), ordered by start; an end of 0 means never.
     """
 
-    __slots__ = ("k", "span", "offsets", "starts", "ends")
+    __slots__ = ("k", "span", "g", "offsets", "starts", "ends")
 
-    def __init__(self, k: int, span: tuple[int, int], offsets: array,
-                 starts: array, ends: array) -> None:
+    def __init__(self, k: int, span: tuple[int, int], g: TemporalGraph,
+                 offsets: array, starts: array, ends: array) -> None:
         self.k = k
         self.span = span
+        self.g = g
         self.offsets = offsets
         self.starts = starts
         self.ends = ends
@@ -80,15 +83,14 @@ class CoreTimeIndex:
         i = bisect_right(self.starts, ts, first, self.offsets[u + 1]) - 1
         return (self.ends[i] or None) if i >= first else None
 
-    def to_text(self, labels=None) -> str:
-        """One line per vertex with entries, e.g. 'v3: [1,4], [2,6], [7,inf]'."""
+    def to_text(self) -> str:
+        """One line per vertex with entries, by label: 'v3: [1,4], [2,6], [7,inf]'."""
         lines = []
-        for v, entries in enumerate(self.runs):
+        for label, entries in zip(self.g.labels, self.runs):
             if not entries:
                 continue
-            name = f"v{labels[v]}" if labels is not None else f"v{v}"
             body = ", ".join(f"[{ts},{'inf' if ct is None else ct}]" for ts, ct in entries)
-            lines.append(f"{name}: {body}")
+            lines.append(f"v{label}: {body}")
         return "\n".join(lines)
 
 
@@ -156,7 +158,7 @@ def build_core_times(g: TemporalGraph, k: int, span: tuple[int, int],
         starts[i] = s
         ends[i] = e
         cursor[v] = i + 1
-    return CoreTimeIndex(k, (ts_lo, ts_hi), offsets, starts, ends)
+    return CoreTimeIndex(k, (ts_lo, ts_hi), g, offsets, starts, ends)
 
 
 def _local_core_time(adj_t: list[int], adj_y: list[int], lo: int, hi: int,

@@ -240,10 +240,6 @@ class EdgeView(Sequence):
         g = self._g
         return map(TemporalEdge, g.edge_u, g.edge_v, g.edge_t)
 
-    def index(self, e) -> int:
-        """The id of edge e."""
-        return self._g.edge_id(*e)
-
 
 def parse_edge_list(stream: Iterable[str]) -> TemporalGraph:
     """Parse "u v t" lines into a TemporalGraph.

@@ -25,7 +25,7 @@ start a at end b, and often again by scans of earlier starts; the baseline
 emits it only at scan a, so it needs no table of cores seen and emits in
 (ts, te) order.
 
-Both bind the sink to the index's edges, then hand it each core as (ts,
+Both bind the sink to index.g.edges, then hand it each core as (ts,
 te, accumulated ids, prev_len); each reports as its cores and result_size
 how far the sink's counts rose. A ResultSink counts; a RecordSink reports
 no edges (sizes), the core's new edges (delta) or all its edges (full),
@@ -175,7 +175,7 @@ def enumerate_cores(index: CoreWindowIndex, span: tuple[int, int],
         raise ValueError("window index was built for a different span")
     edge, start, end = index.edge, index.start, index.end
     n = len(start)
-    sink.bind(index.edges)
+    sink.bind(index.g.edges)
     # window ids by start time
     by_start: dict[int, list[int]] = {}
     for i, s in enumerate(start):
@@ -248,11 +248,11 @@ def enumerate_cores_baseline(index: CoreWindowIndex, span: tuple[int, int],
     ts_lo, ts_hi = span
     if index.span != (ts_lo, ts_hi):
         raise ValueError("window index was built for a different span")
-    edge, start, end, edges = index.edge, index.start, index.end, index.edges
+    edge, start, end, edge_t = index.edge, index.start, index.end, index.g.edge_t
     # per edge holding windows, its id and the bounds of its run of ids
     runs = [(e, bisect_left(edge, e), bisect_right(edge, e))
             for e in dict.fromkeys(edge)]
-    sink.bind(edges)
+    sink.bind(index.g.edges)
     scanned = 0
     cores0, size0 = sink.cores, sink.result_size
     for ts in range(ts_lo, ts_hi + 1):
@@ -272,8 +272,8 @@ def enumerate_cores_baseline(index: CoreWindowIndex, span: tuple[int, int],
                 continue
             acc.extend(bucket)
             # ids are in time order
-            t_min = min(t_min, edges[min(bucket)].t)
-            t_max = max(t_max, edges[max(bucket)].t)
+            t_min = min(t_min, edge_t[min(bucket)])
+            t_max = max(t_max, edge_t[max(bucket)])
             if t_min != ts:
                 continue
             sink.emit(ts, t_max, acc, prev_len)

@@ -24,6 +24,8 @@ from .windows import build_core_windows
 
 # the k values run_verification checks on every span
 KS = (1, 2, 3, 4)
+# random sub-spans run_verification checks per graph, besides the full range
+SUB_SPANS = 3
 
 
 def core_map(records) -> dict[tuple, tuple[int, int]]:
@@ -80,15 +82,16 @@ class VerifyOutcome:
     checks: int = 0
     failures: list[str] = field(default_factory=list)
     dump_file: str | None = None
+    dump_error: str | None = None
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
 
-def _sub_spans(rng: random.Random, t_count: int, how_many: int) -> list[tuple[int, int]]:
+def _sub_spans(rng: random.Random, t_count: int) -> list[tuple[int, int]]:
     spans = [(1, t_count)]
-    for _ in range(how_many):
+    for _ in range(SUB_SPANS):
         a = rng.randint(1, t_count)
         b = rng.randint(a, t_count)
         spans.append((a, b))
@@ -100,12 +103,13 @@ def run_verification(fixture: TemporalGraph | None, *, graphs: int = 50,
     """Equality suite over the fixture and a seeded random corpus.
 
     Stops at the first failing instance, minimizes it, and (when dump_path
-    is given) writes the reproduction there.
+    is given) writes the reproduction there; a reproduction that cannot be
+    written leaves the failures reported and its reason in dump_error.
     """
     outcome = VerifyOutcome()
 
     def run_one(g: TemporalGraph, triples, rng: random.Random) -> bool:
-        for span in _sub_spans(rng, g.t_count, 3):
+        for span in _sub_spans(rng, g.t_count):
             for k in KS:
                 problems = check_instance(g, k, span)
                 outcome.checks += 1
@@ -113,8 +117,11 @@ def run_verification(fixture: TemporalGraph | None, *, graphs: int = 50,
                     outcome.failures.extend(problems)
                     if dump_path is not None:
                         reduced = minimize_failure(triples, k, span)
-                        dump_failure(dump_path, reduced, k, span, problems)
-                        outcome.dump_file = dump_path
+                        try:
+                            dump_failure(dump_path, reduced, k, span, problems)
+                            outcome.dump_file = dump_path
+                        except OSError as exc:
+                            outcome.dump_error = str(exc)
                     return False
         return True
 

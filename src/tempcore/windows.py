@@ -15,9 +15,10 @@ span end is flushed as well.
 Layout: the index holds no object per window. Its windows are three flat
 32-bit columns, `edge` (an edge id), `start` and `end`. That is 12 bytes
 per window: 1.2 MiB (tracemalloc) for the 100,035 windows of the 100k-edge
-burst graph with k=2 over its whole range. by_edge is the one read view: it
-gives each span edge, as a TemporalEdge, its (start, end) pairs, made from
-the columns on demand.
+burst graph with k=2 over its whole range. The index keeps the graph it was
+built from, g, whose ids the edge column holds; its span edges are the ids
+g.ids_in(*span). by_edge is the one read view: it gives each span edge, as
+a TemporalEdge, its (start, end) pairs, made from the columns on demand.
 
 Order invariant: every index, built or made by from_windows, holds its
 windows in edge id order, which is (t, u, v) order, then by start. So an
@@ -42,21 +43,20 @@ _BLOCK = 4096
 
 
 class CoreWindowIndex:
-    """The minimal windows of one (k, span) query, as per-window columns.
+    """The minimal windows of one (k, span) query on graph g, as columns.
 
     Window i is (edge[i], start[i], end[i]), ordered by edge id, then by
-    start. edges[j] is the edge of id j, and ids are the span's edge ids,
-    windowless ones included.
+    start; edge ids are g's. The span's edges, windowless ones included,
+    are g.ids_in(*span).
     """
 
-    __slots__ = ("k", "span", "edges", "ids", "edge", "start", "end")
+    __slots__ = ("k", "span", "g", "edge", "start", "end")
 
-    def __init__(self, k: int, span: tuple[int, int], edges: Sequence[TemporalEdge],
-                 ids: range, edge: array, start: array, end: array) -> None:
+    def __init__(self, k: int, span: tuple[int, int], g: TemporalGraph,
+                 edge: array, start: array, end: array) -> None:
         self.k = k
         self.span = span
-        self.edges = edges
-        self.ids = ids
+        self.g = g
         self.edge = edge
         self.start = start
         self.end = end
@@ -67,8 +67,8 @@ class CoreWindowIndex:
                      ) -> "CoreWindowIndex":
         """An index holding the given (start, end) windows per edge; the
         edges' ids number them in (t, u, v) order, whatever the mapping's
-        order. Its edges are those of a graph over the mapping's edges, with
-        their own ids and times, so by_edge finds an id by bisection."""
+        order. Its graph is one over the mapping's edges, with their own
+        ids and times, so by_edge finds an id by bisection."""
         edges = canonical_edges(by_edge)
         n = 1 + max((max(e.u, e.v) for e in edges), default=-1)
         t_count = max(span[1], edges[-1].t if edges else 0)
@@ -81,7 +81,7 @@ class CoreWindowIndex:
                 edge.append(i)
                 start.append(a)
                 end.append(b)
-        return cls(k, tuple(span), g.edges, range(g.m), edge, start, end)
+        return cls(k, tuple(span), g, edge, start, end)
 
     @property
     def size(self) -> int:
@@ -92,40 +92,39 @@ class CoreWindowIndex:
         """Read-only: span edge -> its (start, end) windows, made on demand."""
         return _ByEdge(self)
 
-    def to_text(self, labels=None) -> str:
-        """One line per edge holding at least one window: '(u,v,t): [s,e], ...'."""
+    def to_text(self) -> str:
+        """One line per edge with windows, by vertex label: '(v2,v9,1): [1,4], ...'."""
+        labels = self.g.labels
         lines = []
         for e, wins in self.by_edge.items():
-            if not wins:
-                continue
-            lu = labels[e.u] if labels is not None else e.u
-            lv = labels[e.v] if labels is not None else e.v
-            body = ", ".join(f"[{a},{b}]" for a, b in wins)
-            lines.append(f"(v{lu},v{lv},{e.t}): {body}")
+            if wins:
+                body = ", ".join(f"[{a},{b}]" for a, b in wins)
+                lines.append(f"(v{labels[e.u]},v{labels[e.v]},{e.t}): {body}")
         return "\n".join(lines)
 
 
 class _ByEdge(Mapping):
     """The windows of each span edge; len and iteration make no pairs."""
 
-    __slots__ = ("_index",)
+    __slots__ = ("_index", "_ids")
 
     def __init__(self, index: CoreWindowIndex) -> None:
         self._index = index
+        self._ids = index.g.ids_in(*index.span)
 
     def __len__(self) -> int:
-        return len(self._index.ids)
+        return len(self._ids)
 
     def __iter__(self) -> Iterator[TemporalEdge]:
-        return map(self._index.edges.__getitem__, self._index.ids)
+        return map(self._index.g.edges.__getitem__, self._ids)
 
     def __getitem__(self, e: TemporalEdge) -> list[tuple[int, int]]:
         index = self._index
         try:
-            i = index.edges.index(e)
+            i = index.g.edge_id(*e)
         except (ValueError, TypeError):
             raise KeyError(e) from None
-        if i not in index.ids:
+        if i not in self._ids:
             raise KeyError(e)
         lo = bisect_left(index.edge, i)
         hi = bisect_right(index.edge, i, lo)
@@ -138,12 +137,12 @@ def build_core_windows(g: TemporalGraph, k: int, span: tuple[int, int],
     """Minimal core windows of every span edge, derived from the core-time
     index.
 
-    The index must have been built for the same (k, span). Per edge the two
-    endpoints' runs are merged over [span start, e.t]; each change of f
-    closes the window of the previous run. A deadline (a time.perf_counter
-    value) is checked once per block of edges.
+    The index must have been built on g for the same (k, span). Per edge
+    the two endpoints' runs are merged over [span start, e.t]; each change
+    of f closes the window of the previous run. A deadline (a
+    time.perf_counter value) is checked once per block of edges.
     """
-    if core_times.k != k or core_times.span != tuple(span):
+    if core_times.g is not g or core_times.k != k or core_times.span != tuple(span):
         raise ValueError("core-time index was built for a different query")
     ts_lo, ts_hi = core_times.span
     off, starts, ends = core_times.offsets, core_times.starts, core_times.ends
@@ -202,5 +201,5 @@ def build_core_windows(g: TemporalGraph, k: int, span: tuple[int, int],
                 add_edge(e)
                 add_start(t)
                 add_end(cur)
-    return CoreWindowIndex(k, (ts_lo, ts_hi), g.edges, ids, edge, start, end)
+    return CoreWindowIndex(k, (ts_lo, ts_hi), g, edge, start, end)
 

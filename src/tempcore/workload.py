@@ -47,8 +47,8 @@ class QuerySpec:
     k: int
     ts: int
     te: int
-    k_pct: int | None = None
-    t_pct: int | None = None
+    k_pct: int
+    t_pct: int
 
 
 def place_span(g: TemporalGraph, k: int, width: int,
@@ -146,7 +146,7 @@ def _peak_rss_kb() -> int:
 
 
 def validate_query(g: TemporalGraph, k: int, span: tuple[int, int],
-                   algo: str = "enum", mode: str = "count") -> None:
+                   algo: str, mode: str) -> None:
     """Raise ValueError unless run_query accepts these arguments."""
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}")

@@ -92,14 +92,14 @@ class TestLookup:
 
     def test_to_text_mirrors_runs(self, g14):
         index = build_core_times(g14, 2, (1, 7))
-        text = index.to_text(g14.labels)
+        text = index.to_text()
         assert "v3: [1,4], [2,6], [3,7], [7,inf]" in text.splitlines()
         assert "v1: [1,3], [3,5], [6,7], [7,inf]" in text.splitlines()
 
     def test_to_text_skips_vertices_without_runs(self, g14):
         # over [1,3] only the triangle of v1, v2 and v4 is ever a 2-core
         index = build_core_times(g14, 2, (1, 3))
-        lines = index.to_text(g14.labels).splitlines()
+        lines = index.to_text().splitlines()
         assert [line.split(":")[0] for line in lines] == ["v1", "v2", "v4"]
         assert sum(1 for runs in index.runs if runs) == 3 < g14.n
 

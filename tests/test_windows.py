@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import random
 import time
 import tracemalloc
@@ -12,11 +13,11 @@ from hypothesis import strategies as st
 
 from tempcore import (BudgetExceeded, EmptyGraphError, TemporalEdge, TemporalGraph,
                       brute_core_windows, build_core_times, build_core_windows,
-                      temporal_kcore)
+                      parse_edge_list, temporal_kcore)
 from tempcore.synth import burst_graph, random_graph
 from tempcore.windows import CoreWindowIndex
 
-from .conftest import GOLDEN_WINDOWS, dense_edge, windows_by_label
+from .conftest import G14_TEXT, GOLDEN_WINDOWS, dense_edge, windows_by_label
 
 
 def build_both(g, k, span):
@@ -61,6 +62,12 @@ class TestGolden:
         ct3 = build_core_times(g14, 3, (1, 7))
         with pytest.raises(ValueError):
             build_core_windows(g14, 2, (1, 7), ct3)
+        # same k, span and vertex count, one edge fewer: core times of
+        # another graph would give wrong windows, not an error
+        other = parse_edge_list(io.StringIO(G14_TEXT.replace("1 3 6\n", "")))
+        assert (other.n, other.m, other.t_count) == (g14.n, g14.m - 1, 7)
+        with pytest.raises(ValueError, match="built for a different query"):
+            build_core_windows(g14, 2, (1, 7), build_core_times(other, 2, (1, 7)))
 
     def test_past_deadline_raises(self, g14):
         ct = build_core_times(g14, 2, (1, 7))
@@ -69,14 +76,14 @@ class TestGolden:
                                deadline=time.perf_counter() - 1)
 
     def test_to_text_contains_rows(self, g14):
-        text = build_both(g14, 2, (1, 7)).to_text(g14.labels)
+        text = build_both(g14, 2, (1, 7)).to_text()
         assert "(v2,v9,1): [1,4]" in text
         assert "(v1,v3,6): [2,6], [6,7]" in text
 
     def test_to_text_skips_edges_without_windows(self, g14):
         # over [1,3] only the triangle's three edges hold windows
         cwi = build_both(g14, 2, (1, 3))
-        lines = cwi.to_text(g14.labels).splitlines()
+        lines = cwi.to_text().splitlines()
         assert [line.split(":")[0] for line in lines] == \
             ["(v1,v4,2)", "(v1,v2,3)", "(v2,v4,3)"]
         assert len(cwi.by_edge) == 5
@@ -143,7 +150,7 @@ class TestProperties:
 def columns(cwi):
     """The span's edges, then (edge, start, end) per window, with each
     edge id made a TemporalEdge."""
-    return list(cwi.by_edge), list(zip(map(cwi.edges.__getitem__, cwi.edge),
+    return list(cwi.by_edge), list(zip(map(cwi.g.edges.__getitem__, cwi.edge),
                                        cwi.start, cwi.end))
 
 

@@ -472,6 +472,40 @@ class TestCliVerify:
                             property(lambda index: runs(index)[:-1]))
         assert check_instance(g14, 2, (1, 7))
 
+    def test_duplicate_core_fails(self, g14, monkeypatch):
+        # a sweep that emits one core twice, all else equal to the oracle
+        sweep = tempcore.verify.enumerate_cores
+
+        def twice(index, span, sink):
+            stats = sweep(index, span, sink)
+            sink.records.append(sink.records[0])
+            return stats
+
+        monkeypatch.setattr(tempcore.verify, "enumerate_cores", twice)
+        assert check_instance(g14, 2, (1, 7)) == \
+            ["sweep emitted a duplicate core (k=2 span=[1,7])"]
+
+    def test_still_fails_rechecks_the_clamped_span(self, monkeypatch):
+        # minimization re-checks the full range, and the failing span
+        # clamped to the shrunk graph's times when that differs from it
+        checked = []
+
+        def check(g, k, span):
+            checked.append((g.t_count, span))
+            return []
+
+        monkeypatch.setattr(tempcore.verify, "check_instance", check)
+        triples = [(0, 1, 10), (1, 2, 20), (0, 2, 30)]
+        for span, spans in (((1, 3), [(1, 3)]), ((2, 3), [(1, 3), (2, 3)]),
+                            ((2, 5), [(1, 3), (2, 3)]), ((4, 5), [(1, 3), (3, 3)])):
+            checked.clear()
+            assert not tempcore.verify._still_fails(triples, 2, span)
+            assert checked == [(3, s) for s in spans], span
+        # no graph is left once every triple is a self-loop
+        checked.clear()
+        assert not tempcore.verify._still_fails([(0, 0, 1), (2, 2, 2)], 2, (1, 2))
+        assert checked == []
+
     def test_corrupted_windows_fail_with_dump(self, g14, g14_file, tmp_path, capsys,
                                               monkeypatch):
         dump = tmp_path / "dump.txt"
@@ -502,6 +536,21 @@ class TestCliVerify:
         assert err[0].startswith("verify: FAIL after ")
         assert err[-1] == f"  reproduction written to {cli_dump}"
         assert cli_dump.read_text() == text
+        # a dump that cannot be written still leaves the mismatch reported
+        unwritable = tmp_path / "missing" / "x.txt"
+        assert main(["verify", "--input", g14_file, "--graphs", "0",
+                     "--dump", str(unwritable)]) == 2
+        captured = capsys.readouterr()
+        unwritten = captured.err.splitlines()
+        assert captured.out == ""
+        assert unwritten[:-1] == err[:-1]
+        assert unwritten[-1].startswith("  reproduction not written: [Errno 2] ")
+        assert not unwritable.parent.exists()
+        # a failure on a corpus graph stops the run at that graph's first check
+        outcome = run_verification(None, graphs=5, seed=0)
+        assert not outcome.passed
+        assert outcome.checks == 1
+        assert outcome.failures[0].startswith("minimal windows differ at edge ")
 
 
 class TestCliBench:
@@ -552,6 +601,28 @@ class TestCliBench:
         assert captured.err.strip() == (
             "bench: cell k_pct=100 (k=2), t_pct=20: no width-1 range with a "
             "2-core found after 200 attempts")
+
+    def test_grid_that_measured_nothing_exits_nonzero(self, tmp_path, capsys):
+        # the triangle has a 2-core over [1,3] but in no width-1 range
+        path = tmp_path / "triangle.txt"
+        path.write_text("0 1 1\n1 2 2\n0 2 3\n")
+        unplaced = ("bench: cell k_pct=100 (k=2), t_pct=20: no width-1 range "
+                    "with a 2-core found after 200 attempts")
+        # no cell could be placed: a usage failure, as in gen
+        assert main(["bench", "--input", str(path), "--k-pcts", "100",
+                     "--t-pcts", "20", "--reps", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("k_pct\t") and captured.out.count("\n") == 1
+        err = captured.err.splitlines()
+        assert err[0] == unplaced
+        assert len(err) == 2 and err[1].startswith("tempcore: error: ")
+        # one cell unplaced and the other timed out: the budget ran out
+        assert main(["bench", "--input", str(path), "--k-pcts", "100",
+                     "--t-pcts", "20,100", "--reps", "1", "--budget", "1e-7"]) == 3
+        captured = capsys.readouterr()
+        rows = captured.out.splitlines()[1:]
+        assert len(rows) == 1 and rows[0].endswith("\ttimeout")
+        assert captured.err.splitlines() == [unplaced]
 
     def test_rows_are_written_as_cells_finish(self, g14_file, tmp_path,
                                               monkeypatch):
