@@ -4,15 +4,16 @@ check_instance runs one (graph, k, span) query through both routes and
 reports every disagreement: core times, minimal windows, and the three
 enumerators compared as sets of canonical edge lists with their tightest
 intervals. run_verification drives the fixture graph and a seeded corpus of
-random graphs, and on the first failure dumps a greedily minimized
-reproduction (edge list plus query) to a file.
+random graphs, and on the first failure opens the reproduction file, then
+greedily minimizes the failing instance and writes it there (edge list plus
+query), so an unwritable path is reported before any minimization.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import zip_longest
+from itertools import product, zip_longest
 
 from .coretime import build_core_times
 from .graph import EmptyGraphError, TemporalGraph
@@ -93,43 +94,16 @@ def _sub_spans(rng: random.Random, t_count: int) -> list[tuple[int, int]]:
     spans = [(1, t_count)]
     for _ in range(SUB_SPANS):
         a = rng.randint(1, t_count)
-        b = rng.randint(a, t_count)
-        spans.append((a, b))
+        spans.append((a, rng.randint(a, t_count)))
     return spans
 
 
-def run_verification(fixture: TemporalGraph | None, *, graphs: int = 50,
-                     seed: int = 0, dump_path: str | None = None) -> VerifyOutcome:
-    """Equality suite over the fixture and a seeded random corpus.
-
-    Stops at the first failing instance, minimizes it, and (when dump_path
-    is given) writes the reproduction there; a reproduction that cannot be
-    written leaves the failures reported and its reason in dump_error.
-    """
-    outcome = VerifyOutcome()
-
-    def run_one(g: TemporalGraph, triples, rng: random.Random) -> bool:
-        for span in _sub_spans(rng, g.t_count):
-            for k in KS:
-                problems = check_instance(g, k, span)
-                outcome.checks += 1
-                if problems:
-                    outcome.failures.extend(problems)
-                    if dump_path is not None:
-                        reduced = minimize_failure(triples, k, span)
-                        try:
-                            dump_failure(dump_path, reduced, k, span, problems)
-                            outcome.dump_file = dump_path
-                        except OSError as exc:
-                            outcome.dump_error = str(exc)
-                    return False
-        return True
-
+def _instances(fixture: TemporalGraph | None, graphs: int, seed: int):
+    """(graph, raw triples, rng): the fixture, then each non-empty corpus draw."""
     if fixture is not None:
-        triples = [(fixture.labels[e.u], fixture.labels[e.v],
-                    fixture.time_domain.raw(e.t)) for e in fixture.edges]
-        if not run_one(fixture, triples, random.Random(seed)):
-            return outcome
+        labels, raw = fixture.labels, fixture.time_domain.raw
+        yield fixture, [(labels[u], labels[v], raw(t)) for u, v, t in fixture.edges], \
+            random.Random(seed)
     for i in range(graphs):
         rng = random.Random(seed * 1_000_003 + i)
         triples = random_edge_triples(rng)
@@ -137,8 +111,32 @@ def run_verification(fixture: TemporalGraph | None, *, graphs: int = 50,
             g = TemporalGraph.from_triples(triples)
         except EmptyGraphError:
             continue
-        if not run_one(g, triples, rng):
-            return outcome
+        yield g, triples, rng
+
+
+def run_verification(fixture: TemporalGraph | None, *, graphs: int = 50,
+                     seed: int = 0, dump_path: str | None = None) -> VerifyOutcome:
+    """Equality suite over the fixture and a seeded random corpus.
+
+    Stops at the first failing instance. Given dump_path, dump_failure opens
+    it before it minimizes the instance and writes the reproduction there;
+    a path that cannot be written leaves the failures reported, its reason
+    in dump_error and, when the open fails, no minimization spent.
+    """
+    outcome = VerifyOutcome()
+    for g, triples, rng in _instances(fixture, graphs, seed):
+        for span, k in product(_sub_spans(rng, g.t_count), KS):
+            problems = check_instance(g, k, span)
+            outcome.checks += 1
+            if problems:
+                outcome.failures.extend(problems)
+                if dump_path is not None:
+                    try:
+                        dump_failure(dump_path, triples, k, span, problems)
+                        outcome.dump_file = dump_path
+                    except OSError as exc:
+                        outcome.dump_error = str(exc)
+                return outcome
     return outcome
 
 
@@ -149,7 +147,7 @@ def _still_fails(triples, k: int, span: tuple[int, int]) -> bool:
         return False
     spans = [(1, g.t_count)]
     clamped = (min(span[0], g.t_count), min(span[1], g.t_count))
-    if clamped[0] <= clamped[1] and clamped != spans[0]:
+    if clamped != spans[0]:
         spans.append(clamped)
     return any(check_instance(g, k, s) for s in spans)
 
@@ -170,10 +168,13 @@ def minimize_failure(triples, k: int, span: tuple[int, int]) -> list[tuple[int, 
 
 def dump_failure(path: str, triples, k: int, span: tuple[int, int],
                  problems: list[str]) -> None:
+    """Write the minimized failing triples and query to path, opened first
+    so that an unwritable path raises OSError before any minimization."""
     with open(path, "w", encoding="utf-8") as fh:
+        reduced = minimize_failure(triples, k, span)
         fh.write("# minimized reproduction of an oracle mismatch\n")
         fh.write(f"# k={k} span=[{span[0]},{span[1]}]\n")
         for p in problems:
             fh.write(f"# {p}\n")
-        for u, v, t in triples:
+        for u, v, t in reduced:
             fh.write(f"{u} {v} {t}\n")

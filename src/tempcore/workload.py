@@ -180,18 +180,16 @@ def run_query(g: TemporalGraph, k: int, span: tuple[int, int], algo: str = "enum
         result = brute_enumerate(g, k, span, deadline=deadline)
         scanned = result.windows_scanned
         # the cores come TTI-sorted and those of one start time are nested,
-        # so each extends its start time's accumulator by its new edges
+        # so each looks up and accumulates the ids of only its new edges
         sink.bind(g.edges)
-        acc: list[int] = []
-        members: set[int] = set()
-        acc_ts = None
+        acc, members, acc_ts = [], set(), None
         for core in result.cores:
             if core.tti[0] != acc_ts:
                 acc, members, acc_ts = [], set(), core.tti[0]
             prev_len = len(acc)
-            ids = [g.edge_id(*e) for e in core.edges]
-            acc.extend(i for i in ids if i not in members)
-            members.update(ids)
+            new = [e for e in core.edges if e not in members]
+            members.update(new)
+            acc.extend(g.edge_id(*e) for e in new)
             sink.emit(acc_ts, core.tti[1], acc, prev_len)
     else:
         core_times = build_core_times(g, k, span, deadline=deadline)

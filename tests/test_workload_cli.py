@@ -14,12 +14,12 @@ import tempcore.cli
 import tempcore.oracle
 import tempcore.verify
 import tempcore.workload
-from tempcore import (CoreTimeIndex, WorkloadError, format_record, gen_queries,
-                      parse_edge_list, place_span, resolve_k, resolve_width,
-                      run_query, stats)
+from tempcore import (CoreTimeIndex, TemporalGraph, WorkloadError, format_record,
+                      gen_queries, parse_edge_list, place_span, resolve_k,
+                      resolve_width, run_query, stats)
 from tempcore.cli import main
 from tempcore.synth import burst_graph, random_graph
-from tempcore.verify import check_instance, run_verification
+from tempcore.verify import KS, SUB_SPANS, check_instance, run_verification
 
 from .conftest import G14_TEXT
 
@@ -166,6 +166,28 @@ class TestRunQuery:
             tracemalloc.stop()
         assert records == [] and report.cores > 0
         assert peak < out.chars / 3, (peak, out.chars)
+
+    def test_brute_looks_up_only_new_edges(self, monkeypatch):
+        # the cores of one start time are nested, so the brute route looks
+        # up an edge's id once per start time, where a core first holds it
+        g = burst_graph(5, timestamps=2000, clique=10, target_edges=12000)
+        span = (801, 1000)
+        lookups = []
+        edge_id = TemporalGraph.edge_id
+
+        def counted(graph, u, v, t):
+            lookups.append((u, v, t))
+            return edge_id(graph, u, v, t)
+
+        monkeypatch.setattr(TemporalGraph, "edge_id", counted)
+        delta = run_query(g, 3, span, "brute", "delta")[0]
+        assert delta and len(lookups) == sum(len(r.edges) for r in delta)
+        for mode in ("count", "sizes", "delta", "full"):
+            brute_records, brute_report = run_query(g, 3, span, "brute", mode)
+            enum_records, enum_report = run_query(g, 3, span, "enum", mode)
+            assert brute_records == enum_records, mode
+            assert (brute_report.cores, brute_report.result_size) == \
+                (enum_report.cores, enum_report.result_size), mode
 
     def test_modes_share_counts(self, g14):
         counts = {mode: run_query(g14, 2, (1, 7), "enum", mode)[1].cores
@@ -536,7 +558,16 @@ class TestCliVerify:
         assert err[0].startswith("verify: FAIL after ")
         assert err[-1] == f"  reproduction written to {cli_dump}"
         assert cli_dump.read_text() == text
-        # a dump that cannot be written still leaves the mismatch reported
+        # a dump that cannot be written still leaves the mismatch reported,
+        # and is found unwritable before any minimization
+        still_fails = tempcore.verify._still_fails
+        minimized = []
+
+        def counted(*args):
+            minimized.append(args)
+            return still_fails(*args)
+
+        monkeypatch.setattr(tempcore.verify, "_still_fails", counted)
         unwritable = tmp_path / "missing" / "x.txt"
         assert main(["verify", "--input", g14_file, "--graphs", "0",
                      "--dump", str(unwritable)]) == 2
@@ -546,11 +577,39 @@ class TestCliVerify:
         assert unwritten[:-1] == err[:-1]
         assert unwritten[-1].startswith("  reproduction not written: [Errno 2] ")
         assert not unwritable.parent.exists()
+        assert minimized == []
         # a failure on a corpus graph stops the run at that graph's first check
         outcome = run_verification(None, graphs=5, seed=0)
         assert not outcome.passed
         assert outcome.checks == 1
         assert outcome.failures[0].startswith("minimal windows differ at edge ")
+
+    def test_corpus_draw_without_edges_is_skipped(self, monkeypatch):
+        # draw 0 keeps only self-loops, so it normalizes to no graph and
+        # every check runs on draw 1
+        draw = tempcore.verify.random_edge_triples
+        draws = []
+
+        def first_all_loops(rng):
+            draws.append(rng)
+            triples = draw(rng)
+            return [(u, u, t) for u, _, t in triples] if len(draws) == 1 else triples
+
+        check = tempcore.verify.check_instance
+        checked = []
+
+        def recorded(g, k, span):
+            checked.append(g)
+            return check(g, k, span)
+
+        monkeypatch.setattr(tempcore.verify, "random_edge_triples", first_all_loops)
+        monkeypatch.setattr(tempcore.verify, "check_instance", recorded)
+        outcome = run_verification(None, graphs=2)
+        assert outcome.passed and len(draws) == 2
+        assert outcome.checks == len(checked) == (SUB_SPANS + 1) * len(KS)
+        draw1 = TemporalGraph.from_triples(draw(random.Random(1)))
+        for g in checked:
+            assert (g.labels, list(g.edges)) == (draw1.labels, list(draw1.edges))
 
 
 class TestCliBench:
