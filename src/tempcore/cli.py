@@ -36,7 +36,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load(path: str) -> TemporalGraph:
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig also reads a file that starts with a byte-order mark
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             return parse_edge_list(fh)
         except (ParseError, EmptyGraphError) as exc:
@@ -249,11 +250,12 @@ def _build_parser() -> _Parser:
     p_bench.add_argument("--k-pcts", type=_int_list, default=[10, 20, 30, 40])
     p_bench.add_argument("--t-pcts", type=_int_list, default=[5, 10, 20, 40])
     p_bench.add_argument("--reps", type=int, default=3,
-                         help="timed runs per cell (at least 1)")
+                         help="timed runs per row, that is per cell and "
+                              "algorithm (at least 1)")
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--budget", type=float, default=60.0,
-                         help="per-cell wall budget in seconds "
-                              "(at least 0; 0 = unlimited)")
+                         help="wall budget in seconds per row, that is per "
+                              "cell and algorithm (at least 0; 0 = unlimited)")
     p_bench.add_argument("--algos", default="enum")
     p_bench.add_argument("--out")
 

@@ -30,6 +30,9 @@ te, accumulated ids, prev_len); each reports as its cores and result_size
 how far the sink's counts rose. A ResultSink counts; a RecordSink reports
 no edges (sizes), the core's new edges (delta) or all its edges (full),
 mapped once per edge id to a value, in id order, which is (t, u, v) order.
+Both sort only the emission's new ids; full appends their values to the
+start time's run when they all follow its last id and otherwise re-sorts
+the accumulator, so every emission costs a sort of at most its own output.
 The library sinks keep CoreResult records of TemporalEdges; workload's
 stream writer is a RecordSink whose values are result-line texts.
 """
@@ -39,6 +42,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cache
 
 from .graph import TemporalEdge, check_deadline
 from .windows import CoreWindowIndex
@@ -77,30 +81,17 @@ class ResultSink:
         self.result_size += len(acc)
 
 
-class EdgeMemo(dict):
-    """edge id -> value(id), built on the first lookup.
-
-    A repeat lookup is a plain dict lookup that calls no Python code.
-    """
-
-    def __init__(self, value) -> None:
-        super().__init__()
-        self.value = value
-
-    def __missing__(self, i: int):
-        value = self[i] = self.value(i)
-        return value
-
-
 class RecordSink(ResultSink):
     """Reports each core's edges as the mode decides, through record.
 
     sizes reports no edges; delta the core's new edges, and full all of the
     start time's edges so far, both as value(i) per edge id i, in id order.
     Without a value function, an edge's value is its TemporalEdge, taken
-    from the bound edges. full keeps the start time's ids as one sorted
-    run, and their values as a run in step with it, so an emission inserts
-    only its new edges.
+    from the bound edges; bind caches the function, so each id is mapped
+    once. Both modes sort only the emission's new ids. full keeps the start
+    time's values as one run and only its last id: new ids that all exceed
+    it are appended, and otherwise the run is rebuilt from the sorted
+    accumulator, so an emission costs a sort, never a shift per id.
     """
 
     def __init__(self, mode: str, value=None) -> None:
@@ -110,30 +101,31 @@ class RecordSink(ResultSink):
         self.mode = mode
         self.records = []
         self._value = value
-        self._values: EdgeMemo | None = None
-        self._ids: list[int] = []
+        self._value_of = None
         self._run: list = []
+        self._last = -1
 
     def bind(self, edges):
-        self._values = EdgeMemo(edges.__getitem__ if self._value is None
-                                else self._value)
+        self._value_of = cache(edges.__getitem__ if self._value is None
+                               else self._value)
 
     def emit(self, ts, te, acc, prev_len):
         super().emit(ts, te, acc, prev_len)
         if self.mode == "sizes":
             values = None
-        elif self.mode == "delta":
-            values = list(map(self._values.__getitem__, sorted(acc[prev_len:])))
         else:
-            ids, run, values_of = self._ids, self._run, self._values
-            if prev_len == 0:
-                ids.clear()
-                run.clear()
-            for i in acc[prev_len:]:
-                j = bisect_right(ids, i)
-                ids.insert(j, i)
-                run.insert(j, values_of[i])
-            values = run
+            new = sorted(acc[prev_len:])
+            if self.mode == "delta":
+                values = list(map(self._value_of, new))
+            else:
+                if prev_len and new[0] > self._last:
+                    self._run.extend(map(self._value_of, new))
+                else:
+                    if prev_len:
+                        new = sorted(acc)
+                    self._run = list(map(self._value_of, new))
+                self._last = new[-1]
+                values = self._run
         self.record(ts, te, len(acc), values)
 
     def record(self, ts: int, te: int, size: int, values: list | None) -> None:

@@ -57,7 +57,8 @@ def place_span(g: TemporalGraph, k: int, width: int,
 
     A draw is rejected unless the k-core of the whole range, peeled by
     WindowPeel, is non-empty; a k-core only grows with its window, so that
-    is exactly when some sub-window holds one. Returns the span and the
+    is exactly when some sub-window holds one, and a start drawn again after
+    its rejection is rejected without a second peel. Returns the span and the
     number of rejected draws; raises ValueError for k < 1 or a width
     outside 1..t_count, and WorkloadError when MAX_ATTEMPTS draws all fail.
     """
@@ -65,13 +66,14 @@ def place_span(g: TemporalGraph, k: int, width: int,
         raise ValueError("k must be at least 1")
     if not 1 <= width <= g.t_count:
         raise ValueError(f"width {width} outside 1..{g.t_count}")
-    rejections = 0
-    for _ in range(MAX_ATTEMPTS):
+    rejected: set[int] = set()
+    for attempt in range(MAX_ATTEMPTS):
         ts0 = rng.randint(1, g.t_count - width + 1)
-        span = (ts0, ts0 + width - 1)
-        if WindowPeel(g, k, *span).nbr:
-            return span, rejections
-        rejections += 1
+        if ts0 not in rejected:
+            span = (ts0, ts0 + width - 1)
+            if WindowPeel(g, k, *span).nbr:
+                return span, attempt
+            rejected.add(ts0)
     raise WorkloadError(f"no width-{width} range with a {k}-core found "
                         f"after {MAX_ATTEMPTS} attempts")
 

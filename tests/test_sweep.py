@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from tempcore import (BudgetExceeded, FullSink, RecordSink, ResultSink,
+from tempcore import (BudgetExceeded, CoreResult, FullSink, RecordSink, ResultSink,
                       TemporalEdge, TemporalGraph, brute_enumerate, build_core_times,
                       build_core_windows, canonical_edges, enumerate_cores,
                       enumerate_cores_baseline, make_sink)
@@ -290,6 +290,46 @@ class TestSinks:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             make_sink("verbose")
+
+    def test_full_mode_appends_or_resorts(self):
+        sink = RecordSink("full")
+        sink.bind([f"e{i}" for i in range(20)])
+        sink.emit(1, 3, [5, 9], 0)
+        sink.emit(1, 4, [5, 9, 12], 2)       # above the run: appended
+        sink.emit(1, 5, [5, 9, 12, 7], 3)    # inside it: re-sorted
+        sink.emit(2, 4, [16, 14], 0)         # a new start time: a fresh run
+        assert sink.records == [
+            CoreResult(1, 3, 2, ("e5", "e9")),
+            CoreResult(1, 4, 3, ("e5", "e9", "e12")),
+            CoreResult(1, 5, 4, ("e5", "e7", "e9", "e12")),
+            CoreResult(2, 4, 2, ("e14", "e16")),
+        ]
+
+    def test_full_mode_is_output_bound(self):
+        # nested triangles: triangle j has two edges at time j and its
+        # closing edge at 2m - j, so its one minimal window is [j, 2m - j]
+        # and each start time's core gathers its edges in no id order; a
+        # sink that shifts its run per new id takes time quadratic in a core
+        m = 1000
+        triples = []
+        for j in range(1, m + 1):
+            triples += [(3 * j, 3 * j + 1, j), (3 * j + 1, 3 * j + 2, j),
+                        (3 * j, 3 * j + 2, 2 * m - j)]
+        g = TemporalGraph.from_triples(triples)
+        span = (1, g.t_count)
+        cwi = windows_index(g, 2, span)
+
+        def best_of_3(make) -> float:
+            times = []
+            for _ in range(3):
+                sink = make()
+                t0 = time.process_time()
+                enumerate_cores(cwi, span, sink)
+                times.append(time.process_time() - t0)
+                assert (sink.cores, sink.result_size) == (m, 3 * m * (m + 1) // 2)
+            return min(times)
+
+        assert best_of_3(FullSink) <= 8 * best_of_3(ResultSink)
 
 
 class TestAgreement:

@@ -61,6 +61,36 @@ class TestGenQueries:
         with pytest.raises(WorkloadError):
             place_span(g14, 3, 7, random.Random(1))
 
+    @pytest.fixture
+    def peels(self, monkeypatch):
+        """The arguments of every WindowPeel that place_span makes."""
+        made = []
+        peel = tempcore.workload.WindowPeel
+
+        def counting_peel(*args):
+            made.append(args)
+            return peel(*args)
+
+        monkeypatch.setattr(tempcore.workload, "WindowPeel", counting_peel)
+        return made
+
+    def test_rejected_start_is_peeled_once(self, g14, peels):
+        # width 7 leaves start 1 only; its 199 repeat draws reuse the rejection
+        with pytest.raises(WorkloadError, match="after 200 attempts"):
+            place_span(g14, 3, 7, random.Random(1))
+        assert len(peels) == 1
+
+    def test_repeat_draws_count_as_rejections(self, g14, peels):
+        # at width 1 only start 5 holds a 2-core: every draw before it is a
+        # rejection, and each start drawn is peeled once
+        for seed in range(10):
+            peels.clear()
+            span, rejections = place_span(g14, 2, 1, random.Random(seed))
+            rng = random.Random(seed)
+            draws = [rng.randint(1, 7) for _ in range(rejections + 1)]
+            assert span == (5, 5) and draws.index(5) == rejections
+            assert len(peels) == len(set(draws))
+
     def test_k_below_one_is_rejected(self, g14):
         with pytest.raises(ValueError, match="k must be at least 1"):
             place_span(g14, 0, 3, random.Random(1))
@@ -219,6 +249,15 @@ class TestCliStats:
         path.write_text("0 1 44\n")
         assert main(["stats", "--input", str(path)]) == 0
         assert "n=2 m=1 t_max=1" in capsys.readouterr().out
+
+    def test_byte_order_mark_is_read(self, g14_file, tmp_path, capsys):
+        # the fixture's edges, the first of them right after the mark
+        path = tmp_path / "bom.txt"
+        path.write_text("\ufeff" + G14_TEXT.split("\n", 1)[1], encoding="utf-8")
+        assert main(["stats", "--input", g14_file]) == 0
+        plain = capsys.readouterr().out
+        assert main(["stats", "--input", str(path)]) == 0
+        assert capsys.readouterr().out == plain
 
     def test_malformed_file_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
