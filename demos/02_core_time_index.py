@@ -5,7 +5,7 @@ putting it inside the 2-core of the window [ts, te]. The function is
 nondecreasing in ts, so each vertex stores a handful of runs; "inf" marks
 start times from which the vertex never reaches a core again. The index
 keeps its runs in three flat 32-bit columns (offsets per vertex, then the
-start and the core end of each run, 0 for never).
+start and the core end of each run, the span end + 1 for never).
 """
 
 from pathlib import Path

@@ -7,11 +7,11 @@ stored run-length encoded as (from_ts, core_end) runs.
 
 Layout: the index holds no object per run or per vertex. Its runs are three
 flat 32-bit columns: vertex v's runs are starts[i], ends[i] for i in
-offsets[v]:offsets[v + 1], ordered by start. An end of 0 means the vertex is
-in no core from that start time on; times are ranks from 1, so 0 never
-aliases a real time. runs and at turn 0 back into None. The index keeps
-the graph it was built from, g: to_text names vertices by g's labels, and
-build_core_windows takes the index only for that same graph.
+offsets[v]:offsets[v + 1], ordered by start. An end of span[1] + 1, the
+first time past the query, means never: no core from that start time on.
+So each vertex's ends are nondecreasing; runs and at read them as None. The
+index keeps the graph it was built from, g: to_text names vertices by g's
+labels, and build_core_windows takes the index only for that same graph.
 
 build_core_times computes the first start time exactly with one decremental
 sweep, then repairs later start times locally. The repair rule: a vertex's
@@ -35,7 +35,6 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import accumulate, repeat
-from math import inf
 
 from .graph import TemporalGraph, WindowPeel, check_deadline
 
@@ -46,7 +45,8 @@ class CoreTimeIndex:
     """The core-time runs of one (k, span) query on graph g, as flat columns.
 
     Vertex v's runs are (starts[i], ends[i]) for i in range(offsets[v],
-    offsets[v + 1]), ordered by start; an end of 0 means never.
+    offsets[v + 1]), ordered by start; an end past the span (span[1] + 1)
+    means never, so each vertex's ends are nondecreasing.
     """
 
     __slots__ = ("k", "span", "g", "offsets", "starts", "ends")
@@ -69,7 +69,9 @@ class CoreTimeIndex:
         """Per vertex, its (from_ts, core_end) runs with None for never,
         built anew from the columns on each access."""
         off, starts, ends = self.offsets, self.starts, self.ends
-        return tuple(tuple((starts[i], ends[i] or None) for i in range(off[v], off[v + 1]))
+        hi = self.span[1]
+        return tuple(tuple((starts[i], ends[i] if ends[i] <= hi else None)
+                           for i in range(off[v], off[v + 1]))
                      for v in range(len(off) - 1))
 
     def at(self, u: int, ts: int) -> int | None:
@@ -81,7 +83,7 @@ class CoreTimeIndex:
             raise ValueError(f"start time {ts} outside span [{lo},{hi}]")
         first = self.offsets[u]
         i = bisect_right(self.starts, ts, first, self.offsets[u + 1]) - 1
-        return (self.ends[i] or None) if i >= first else None
+        return self.ends[i] if i >= first and self.ends[i] <= hi else None
 
     def to_text(self) -> str:
         """One line per vertex with entries, by label: 'v3: [1,4], [2,6], [7,inf]'."""
@@ -107,17 +109,18 @@ def build_core_times(g: TemporalGraph, k: int, span: tuple[int, int],
     if not 1 <= ts_lo <= ts_hi <= g.t_count:
         raise ValueError(f"span [{ts_lo},{ts_hi}] outside 1..{g.t_count}")
     n = g.n
+    never = ts_hi + 1
     off, adj_t, adj_y = g.adj_off, g.adj_t, g.adj_y
     edge_u, edge_v, t_off = g.edge_u, g.edge_v, g.t_off
 
     check_deadline(deadline, "core times at start", ts_lo)
-    ct: list = _initial_core_times(g, k, span, deadline)
+    ct = _initial_core_times(g, k, span, deadline)
     # one (vertex, start, end) entry per run, in start order; no object per
     # run or per vertex, so the build leaves the collector nothing to walk
     run_v, run_start, run_end = array("i"), array("i"), array("i")
     add_v, add_start, add_end = run_v.append, run_start.append, run_end.append
     for v, c in enumerate(ct):
-        if c is not inf:
+        if c != never:
             add_v(v)
             add_start(ts_lo)
             add_end(c)
@@ -127,25 +130,25 @@ def build_core_times(g: TemporalGraph, k: int, span: tuple[int, int],
         # the vertices to re-evaluate; popitem takes the last one added,
         # and adding one already there leaves it where it is
         pending = dict.fromkeys(x for i in range(t_off[ts - 1], t_off[ts])
-                                for x in (edge_u[i], edge_v[i]) if ct[x] is not inf)
+                                for x in (edge_u[i], edge_v[i]) if ct[x] != never)
         changed: set[int] = set()
         while pending:
             x = pending.popitem()[0]
             old = ct[x]
             hi = bisect_left(adj_t, ts_hi + 1, off[x], off[x + 1])
-            new, first = _local_core_time(adj_t, adj_y, off[x], hi, ts, k, ct)
+            new, first = _local_core_time(adj_t, adj_y, off[x], hi, ts, k, ct, never)
             if new > old:
                 ct[x] = new
                 changed.add(x)
                 for y, t in first.items():
-                    # inf never satisfies the upper bound, so no check
-                    # for neighbours already out of every core
+                    # never, the largest value, fails the upper bound, so
+                    # no check for neighbours already out of every core
                     if (t if t > old else old) <= ct[y] < (t if t > new else new):
                         pending[y] = None
         for x in changed:
             add_v(x)
             add_start(ts)
-            add_end(0 if ct[x] is inf else ct[x])
+            add_end(ct[x])
 
     # stable counting sort of the runs by vertex
     count = Counter(run_v)
@@ -162,27 +165,29 @@ def build_core_times(g: TemporalGraph, k: int, span: tuple[int, int],
 
 
 def _local_core_time(adj_t: list[int], adj_y: list[int], lo: int, hi: int,
-                     ts: int, k: int, ct: list):
+                     ts: int, k: int, ct: list[int], never: int):
     """x's core time by the repair rule, and its neighbours' terms.
 
     adj_t[lo:hi], adj_y[lo:hi] are x's adjacency up to the span end.
     Returns the k-th smallest, over distinct neighbours y connected at or
     after ts, of max(t_xy, ct[y]), with t_xy the first such connecting
-    time; and the dict y -> t_xy.
+    time, or never when x has fewer than k such neighbours; and the dict
+    y -> t_xy.
     """
     lo = bisect_left(adj_t, ts, lo, hi)
     # walked backwards, each neighbour's last assignment is its earliest time
     first = dict(zip(reversed(adj_y[lo:hi]), reversed(adj_t[lo:hi])))
     if len(first) < k:
-        return inf, first
+        return never, first
     terms = [t if t >= (c := ct[y]) else c for y, t in first.items()]
     terms.sort()
     return terms[k - 1], first
 
 
 def _initial_core_times(g: TemporalGraph, k: int, span: tuple[int, int],
-                        deadline: float | None) -> list:
-    """Exact core times for the span's first start time.
+                        deadline: float | None) -> list[int]:
+    """Exact core times for the span's first start time, span end + 1 for
+    never.
 
     Shrinks the window from the right; a vertex peeled while dropping the
     edges of end time te was last in a core at te. The deadline is checked
@@ -190,7 +195,7 @@ def _initial_core_times(g: TemporalGraph, k: int, span: tuple[int, int],
     """
     ts_lo, ts_hi = span
     peel = WindowPeel(g, k, ts_lo, ts_hi)
-    ct: list = [inf] * g.n
+    ct = [ts_hi + 1] * g.n
     for te in range(ts_hi, ts_lo - 1, -1):
         check_deadline(deadline, "first core-time peel at end", te)
         if not peel.nbr:

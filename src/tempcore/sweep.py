@@ -158,9 +158,11 @@ def enumerate_cores(index: CoreWindowIndex, span: tuple[int, int],
     """Sweep all start times of the span, emitting each distinct core once.
 
     node_ops counts window insertions, window deletions and end groups
-    visited by the scans; peak_live and peak_state track live windows and
-    live windows plus accumulator for the memory contract. A deadline
-    (a time.perf_counter value) is checked once per start time.
+    visited by the scans; peak_live and peak_state, the most live windows
+    and live windows plus accumulator, serve the memory contract. peak_live
+    is the first placement's count, as an expiry swaps a window for at most
+    its edge's next one. A deadline (a time.perf_counter value) is checked
+    once per start time.
     """
     ts_lo, ts_hi = span
     if index.span != (ts_lo, ts_hi):
@@ -183,8 +185,7 @@ def enumerate_cores(index: CoreWindowIndex, span: tuple[int, int],
             live.setdefault(te, set()).add(e)
             n_live += 1
             prev = e
-    ops = n_live
-    peak_live = 0
+    ops = peak_live = n_live
     peak_state = 0
     cores0, size0 = sink.cores, sink.result_size
     for t in range(ts_lo, ts_hi + 1):
@@ -205,8 +206,6 @@ def enumerate_cores(index: CoreWindowIndex, span: tuple[int, int],
                 ops += 1
         n_live -= len(expired)
         ops += len(expired)
-        if n_live > peak_live:
-            peak_live = n_live
         starting = by_start.get(t)
         if not starting:
             continue
@@ -245,7 +244,6 @@ def enumerate_cores_baseline(index: CoreWindowIndex, span: tuple[int, int],
     runs = [(e, bisect_left(edge, e), bisect_right(edge, e))
             for e in dict.fromkeys(edge)]
     sink.bind(index.g.edges)
-    scanned = 0
     cores0, size0 = sink.cores, sink.result_size
     for ts in range(ts_lo, ts_hi + 1):
         check_deadline(deadline, "baseline scan at start", ts)
@@ -258,7 +256,6 @@ def enumerate_cores_baseline(index: CoreWindowIndex, span: tuple[int, int],
         prev_len = 0
         t_min, t_max = ts_hi + 1, ts
         for te in range(ts, ts_hi + 1):
-            scanned += 1
             bucket = buckets.get(te)
             if not bucket:
                 continue
@@ -270,4 +267,5 @@ def enumerate_cores_baseline(index: CoreWindowIndex, span: tuple[int, int],
                 continue
             sink.emit(ts, t_max, acc, prev_len)
             prev_len = len(acc)
-    return BaselineStats(sink.cores - cores0, scanned, sink.result_size - size0)
+    w = ts_hi - ts_lo + 1  # every (ts, te) pair of the span is scanned
+    return BaselineStats(sink.cores - cores0, w * (w + 1) // 2, sink.result_size - size0)

@@ -5,12 +5,12 @@ that window's projection but of no strict sub-window. Per edge the minimal
 windows strictly increase in both endpoints, so none contains another.
 
 Derivation from core times: for an edge (u, v, t) the earliest core end
-from start ts is f(ts) = max(ct(u, ts), ct(v, ts), t), defined while
-ts <= t and both core times are finite; f is nondecreasing, and the minimal
-windows are exactly [last ts of each constant run of f, f]. Earlier starts
-of a run yield the same end and are therefore dominated. The run ending at
-ts = t covers the edge's expiry from the window, and the run reaching the
-span end is flushed as well.
+from start ts is f(ts) = max(ct(u, ts), ct(v, ts), t) for ts <= t, with
+never stored as the span end + 1. f is nondecreasing, and the minimal
+windows are [last ts of each constant run of f, f] for each run whose f
+lies in the span. Earlier starts of a run yield the same end and are
+therefore dominated. The run ending at ts = t covers the edge's expiry
+from the window, and the run reaching the span end is flushed as well.
 
 Layout: the index holds no object per window. Its windows are three flat
 32-bit columns, `edge` (an edge id), `start` and `end`. That is 12 bytes
@@ -139,8 +139,8 @@ def build_core_windows(g: TemporalGraph, k: int, span: tuple[int, int],
 
     The index must have been built on g for the same (k, span). Per edge
     the two endpoints' runs are merged over [span start, e.t]; each change
-    of f closes the window of the previous run. A deadline (a
-    time.perf_counter value) is checked once per block of edges.
+    of f closes the window of the previous run if its f is in the span. A
+    deadline (a time.perf_counter value) is checked once per block of edges.
     """
     if core_times.g is not g or core_times.k != k or core_times.span != tuple(span):
         raise ValueError("core-time index was built for a different query")
@@ -165,23 +165,20 @@ def build_core_windows(g: TemporalGraph, k: int, span: tuple[int, int],
             ev = off[v + 1]
             if iv == ev:
                 continue
-            # a, b: the endpoints' core times from pos on (0 for never);
+            # a, b: the endpoints' core times from pos on (ts_hi + 1: never);
             # nu, nv: where their next runs begin (t + 1 once none begins by t)
             a = ends[iu]
             b = ends[iv]
             nu = starts[iu + 1] if iu + 1 < eu else t + 1
             nv = starts[iv + 1] if iv + 1 < ev else t + 1
             pos = ts_lo
-            cur = 0
+            cur = ts_hi + 1
             while True:
-                if not a or not b:
-                    f = 0
-                else:
-                    f = a if a >= b else b
-                    if f < t:
-                        f = t
+                f = a if a >= b else b
+                if f < t:
+                    f = t
                 if f != cur:
-                    if cur:
+                    if cur <= ts_hi:
                         add_edge(e)
                         add_start(pos - 1)
                         add_end(cur)
@@ -197,7 +194,7 @@ def build_core_windows(g: TemporalGraph, k: int, span: tuple[int, int],
                     iv += 1
                     b = ends[iv]
                     nv = starts[iv + 1] if iv + 1 < ev else t + 1
-            if cur:
+            if cur <= ts_hi:
                 add_edge(e)
                 add_start(t)
                 add_end(cur)

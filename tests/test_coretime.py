@@ -130,13 +130,34 @@ class TestColumns:
             b = rng.randint(a, g.t_count)
             assert_round_trip(build_core_times(g, rng.randint(1, 3), (a, b)), g)
 
-    def test_never_is_zero_in_the_columns(self, g14, g14_dense):
+    def test_never_is_past_the_span_in_the_columns(self, g14, g14_dense):
         index = build_core_times(g14, 2, (1, 7))
         v9 = g14_dense[9]
         first, last = index.offsets[v9], index.offsets[v9 + 1]
         assert list(index.starts[first:last]) == [1, 2]
-        assert list(index.ends[first:last]) == [4, 0]
+        assert list(index.ends[first:last]) == [4, 8]
         assert index.runs[v9] == ((1, 4), (2, None))
+
+    def test_ends_are_nondecreasing_per_vertex(self):
+        # never is the span end + 1, the top of the order, so each vertex's
+        # ends rise like its core times
+        g = burst_graph(5, timestamps=2000, clique=10, target_edges=12000)
+        cases = [(g, 2, (1, g.t_count))]
+        rng = random.Random(31)
+        for _ in range(100):
+            g = random_graph(rng)
+            a = rng.randint(1, g.t_count)
+            cases.append((g, rng.randint(1, 3), (a, rng.randint(a, g.t_count))))
+        nevers = 0
+        for g, k, span in cases:
+            index = build_core_times(g, k, span)
+            off, ends = index.offsets, index.ends
+            for v in range(g.n):
+                run = list(ends[off[v]:off[v + 1]])
+                assert run == sorted(run), (v, run)
+                assert all(e <= index.span[1] + 1 for e in run), (v, run)
+            nevers += sum(e > index.span[1] for e in ends)
+        assert nevers > 1000
 
     def test_index_memory_per_run(self):
         # two 32-bit columns per run and one 32-bit offset per vertex; a

@@ -158,6 +158,22 @@ class TestEnumerate:
                 emissions += len(sink.seen)
         assert emissions > 500
 
+    def test_peak_live_is_one_window_per_edge(self, g14):
+        # every windowed edge is live from the span start, and an expiry
+        # swaps a window for at most its edge's next one
+        cases = [(g14, k, (1, 7)) for k in (1, 2, 3)]
+        g = burst_graph(5, timestamps=2000, clique=10, target_edges=12000)
+        cases += [(g, 2, (1, g.t_count)), (g, 5, (300, 900))]
+        rng = random.Random(67)
+        for _ in range(60):
+            g = random_graph(rng)
+            a = rng.randint(1, g.t_count)
+            cases.append((g, rng.randint(1, 3), (a, rng.randint(a, g.t_count))))
+        for g, k, span in cases:
+            cwi = windows_index(g, k, span)
+            st = enumerate_cores(cwi, span, ResultSink())
+            assert st.peak_live == len(set(cwi.edge)), (k, span)
+
     def test_equal_end_order_is_irrelevant(self, g14):
         cwi = windows_index(g14, 2, (1, 7))
         sink = FullSink()
@@ -233,6 +249,13 @@ class TestBaseline:
         assert result_map(sink.records).keys() == \
             {c.edges for c in brute_enumerate(g14, 2, (1, 4)).cores}
         assert st.windows_scanned == 10
+
+    @pytest.mark.parametrize("span, scanned", [((3, 3), 1), ((1, 7), 28)])
+    def test_every_window_of_the_span_is_scanned(self, g14, span, scanned):
+        # w·(w + 1)/2 (ts, te) pairs for a span of width w
+        cwi = windows_index(g14, 2, span)
+        st = enumerate_cores_baseline(cwi, span, ResultSink())
+        assert st.windows_scanned == scanned
 
     def test_empty_index(self, g14):
         cwi = windows_index(g14, 3, (1, 7))
