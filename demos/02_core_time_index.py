@@ -5,7 +5,8 @@ putting it inside the 2-core of the window [ts, te]. The function is
 nondecreasing in ts, so each vertex stores a handful of runs; "inf" marks
 start times from which the vertex never reaches a core again. The index
 keeps its runs in three flat 32-bit columns (offsets per vertex, then the
-start and the core end of each run, the span end + 1 for never).
+start and the core end of each run, the span end + 1 for never); runs reads
+them back as (start, core end) pairs per vertex, with None for never.
 """
 
 from pathlib import Path
@@ -24,8 +25,10 @@ print(f"index holds {index.size} runs over {g.n} vertices "
       f"in {held} bytes of columns:\n")
 print(index.to_text())
 
-v1 = g.labels.index(1)
+# runs is the index's read view: a start's core time is the end of the
+# last run that starts at or before it
+v1_runs = index.runs[g.labels.index(1)]
 print("\nvertex 1, start by start:")
 for ts in range(1, 8):
-    ct = index.at(v1, ts)
+    ct = next((end for start, end in reversed(v1_runs) if start <= ts), None)
     print(f"  from ts={ts}: earliest core end = {ct if ct is not None else 'never'}")

@@ -9,7 +9,7 @@ Layout: the index holds no object per run or per vertex. Its runs are three
 flat 32-bit columns: vertex v's runs are starts[i], ends[i] for i in
 offsets[v]:offsets[v + 1], ordered by start. An end of span[1] + 1, the
 first time past the query, means never: no core from that start time on.
-So each vertex's ends are nondecreasing; runs and at read them as None. The
+So each vertex's ends are nondecreasing; runs reads them as None. The
 index keeps the graph it was built from, g: to_text names vertices by g's
 labels, and build_core_windows takes the index only for that same graph.
 
@@ -32,7 +32,7 @@ max(t_xy, old) <= ct[y] < max(t_xy, new).
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate, repeat
 
@@ -73,17 +73,6 @@ class CoreTimeIndex:
         return tuple(tuple((starts[i], ends[i] if ends[i] <= hi else None)
                            for i in range(off[v], off[v + 1]))
                      for v in range(len(off) - 1))
-
-    def at(self, u: int, ts: int) -> int | None:
-        """Core time of u for start time ts (None encodes never)."""
-        if not 0 <= u < len(self.offsets) - 1:
-            raise ValueError(f"unknown vertex id {u}")
-        lo, hi = self.span
-        if not lo <= ts <= hi:
-            raise ValueError(f"start time {ts} outside span [{lo},{hi}]")
-        first = self.offsets[u]
-        i = bisect_right(self.starts, ts, first, self.offsets[u + 1]) - 1
-        return self.ends[i] if i >= first and self.ends[i] <= hi else None
 
     def to_text(self) -> str:
         """One line per vertex with entries, by label: 'v3: [1,4], [2,6], [7,inf]'."""

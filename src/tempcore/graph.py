@@ -209,17 +209,6 @@ class TemporalGraph:
                 return i
         raise ValueError(f"no edge ({u}, {v}, {t})")
 
-    def neighbors_in(self, u: int, lo: int, hi: int) -> list[tuple[int, int]]:
-        """Incident (neighbour, t) pairs with lo <= t <= hi, ordered by t."""
-        if not 0 <= u < self.n:
-            raise ValueError(f"unknown vertex id {u}")
-        if not 1 <= lo <= hi <= self.t_count:
-            raise ValueError(f"window [{lo},{hi}] outside 1..{self.t_count}")
-        adj_t = self.adj_t
-        i = bisect_left(adj_t, lo, self.adj_off[u], self.adj_off[u + 1])
-        j = bisect_right(adj_t, hi, i, self.adj_off[u + 1])
-        return list(zip(self.adj_y[i:j], adj_t[i:j]))
-
 
 class EdgeView(Sequence):
     """A graph's edges by id, each made as a TemporalEdge on access."""
@@ -254,10 +243,9 @@ def parse_edge_list(stream: Iterable[str]) -> TemporalGraph:
 
 def _triples(stream: Iterable[str]) -> Iterator[tuple[int, int, int]]:
     for line_no, line in enumerate(stream, start=1):
-        stripped = line.strip()
-        if not stripped or stripped[0] in "#%":
+        fields = line.split()
+        if not fields or fields[0][0] in "#%":
             continue
-        fields = stripped.split()
         if len(fields) < 3:
             raise ParseError(line_no, f"expected 'u v t', got {len(fields)} field(s)")
         try:

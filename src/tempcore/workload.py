@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import random
 import resource
+import sys
 import time
 from dataclasses import dataclass
 from typing import TextIO
@@ -143,8 +144,10 @@ class RunReport:
 
 
 def _peak_rss_kb() -> int:
-    # process-wide high water mark, an approximation by design
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # process-wide high water mark, an approximation by design; macOS
+    # reports ru_maxrss in bytes, Linux in KiB
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak // 1024 if sys.platform == "darwin" else peak
 
 
 def validate_query(g: TemporalGraph, k: int, span: tuple[int, int],

@@ -46,7 +46,7 @@ class TestGolden:
     def test_k1_is_earliest_incident_time(self, g14, g14_dense):
         index = build_core_times(g14, 1, (1, 7))
         v5 = g14_dense[5]
-        assert [index.at(v5, ts) for ts in range(1, 8)] == [6, 6, 6, 6, 6, 6, 7]
+        assert [core_time(index, v5, ts) for ts in range(1, 8)] == [6, 6, 6, 6, 6, 6, 7]
 
     def test_k3_all_absent(self, g14):
         index = build_core_times(g14, 3, (1, 7))
@@ -73,17 +73,12 @@ class TestDeadline:
 class TestLookup:
     def test_lookup_examples(self, g14, g14_dense):
         index = build_core_times(g14, 2, (1, 7))
-        assert index.at(g14_dense[1], 2) == 3
-        assert index.at(g14_dense[1], 3) == 5
-        assert index.at(g14_dense[1], 7) is None
-        assert index.at(g14_dense[9], 2) is None
+        assert core_time(index, g14_dense[1], 2) == 3
+        assert core_time(index, g14_dense[1], 3) == 5
+        assert core_time(index, g14_dense[1], 7) is None
+        assert core_time(index, g14_dense[9], 2) is None
 
     def test_lookup_bounds(self, g14):
-        index = build_core_times(g14, 2, (2, 6))
-        with pytest.raises(ValueError):
-            index.at(0, 1)
-        with pytest.raises(ValueError):
-            index.at(99, 3)
         with pytest.raises(ValueError, match="k must be at least 1"):
             build_core_times(g14, 0, (2, 6))
         for span in ((0, 6), (2, 8), (6, 2)):
@@ -104,16 +99,25 @@ class TestLookup:
         assert sum(1 for runs in index.runs if runs) == 3 < g14.n
 
 
+def core_time(index, v, ts):
+    """v's core time for start time ts, read from runs (None for never)."""
+    return next((end for start, end in reversed(index.runs[v]) if start <= ts), None)
+
+
 def assert_round_trip(index, g):
-    """runs and at agree with each other."""
+    """runs reads back the columns, one run per column entry, in start order."""
     runs = index.runs
     assert len(runs) == g.n
     assert index.size == sum(map(len, runs))
     lo, hi = index.span
     for v, entries in enumerate(runs):
-        for ts in range(lo, hi + 1):
-            before = [ct for start, ct in entries if start <= ts]
-            assert index.at(v, ts) == (before[-1] if before else None)
+        first, last = index.offsets[v], index.offsets[v + 1]
+        starts = [start for start, _ in entries]
+        assert starts == list(index.starts[first:last])
+        assert starts == sorted(set(starts))
+        assert all(lo <= start <= hi for start in starts)
+        assert [hi + 1 if end is None else end for _, end in entries] == \
+            list(index.ends[first:last])
 
 
 class TestColumns:
@@ -236,11 +240,11 @@ class TestFuzz:
             for k in (1, 2, 3):
                 index = build_core_times(g, k, span)
                 for v in range(g.n):
-                    values = [_as_inf(index.at(v, ts))
+                    values = [_as_inf(core_time(index, v, ts))
                               for ts in range(span[0], span[1] + 1)]
                     assert values == sorted(values)
                     if prev_index is not None:
-                        lower = [_as_inf(prev_index.at(v, ts))
+                        lower = [_as_inf(core_time(prev_index, v, ts))
                                  for ts in range(span[0], span[1] + 1)]
                         assert all(hi >= lo for hi, lo in zip(values, lower))
                 prev_index = index
@@ -253,7 +257,7 @@ class TestFuzz:
             index = build_core_times(g, k, (1, g.t_count))
             for v in range(g.n):
                 for ts in range(1, g.t_count + 1):
-                    te = index.at(v, ts)
+                    te = core_time(index, v, ts)
                     if te is None:
                         continue
                     core = temporal_kcore(g, k, (ts, te))

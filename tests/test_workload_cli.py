@@ -6,7 +6,9 @@ import ast
 import io
 import random
 import re
+import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
@@ -218,6 +220,16 @@ class TestRunQuery:
             assert brute_records == enum_records, mode
             assert (brute_report.cores, brute_report.result_size) == \
                 (enum_report.cores, enum_report.result_size), mode
+
+    def test_peak_rss_is_in_kib(self, g14, monkeypatch):
+        # ru_maxrss counts KiB on Linux and bytes on macOS
+        usage = SimpleNamespace(ru_maxrss=4_096_000)
+        monkeypatch.setattr(tempcore.workload.resource, "getrusage", lambda who: usage)
+        for platform, kib in (("linux", 4_096_000), ("darwin", 4_000)):
+            monkeypatch.setattr(sys, "platform", platform)
+            report = run_query(g14, 2, (1, 7))[1]
+            assert report.peak_rss_kb == kib, platform
+            assert report.line().endswith(f" peak_rss_kb~{kib}"), platform
 
     def test_modes_share_counts(self, g14):
         counts = {mode: run_query(g14, 2, (1, 7), "enum", mode)[1].cores
