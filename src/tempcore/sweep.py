@@ -2,7 +2,7 @@
 
 Both read the window index's flat columns (edge id, start, end; 12 bytes
 per window, see windows) by window id and make no window objects, and both
-accumulate edge ids.
+accumulate edge ids (enumerate_cores only for a sink that reads them).
 
 enumerate_cores walks start times once. The live minimal windows are held
 in groups keyed by end time, each group the set of ids of the edges whose
@@ -27,9 +27,12 @@ emits it only at scan a, so it needs no table of cores seen and emits in
 
 Both bind the sink to index.g.edges, then hand it each core as (ts,
 te, accumulated ids, prev_len); each reports as its cores and result_size
-how far the sink's counts rose. A ResultSink counts; a RecordSink reports
-no edges (sizes), the core's new edges (delta) or all its edges (full),
-mapped once per edge id to a value, in id order, which is (t, u, v) order.
+how far the sink's counts rose. A sink whose reads_edges is false, as in
+count and sizes mode, reads only len(acc), so enumerate_cores sums group
+sizes instead and hands it range(size), a sized stand-in holding no ids.
+A ResultSink counts; a RecordSink reports no edges (sizes), the core's new
+edges (delta) or all its edges (full), mapped once per edge id to a value,
+in id order, which is (t, u, v) order.
 Both sort only the emission's new ids; full appends their values to the
 start time's run when they all follow its last id and otherwise re-sorts
 the accumulator, so every emission costs a sort of at most its own output.
@@ -64,9 +67,13 @@ class ResultSink:
     (ts, te) ascending order with a strictly growing accumulator per ts;
     prev_len marks the accumulator length at the previous emission of the
     same start time, so it is 0 exactly at the first emission of a start
-    time and acc[prev_len:] are the core's new edges. Used as is, it counts;
+    time and acc[prev_len:] are the core's new edges. A sink that reads no
+    ids leaves reads_edges false and may be handed, in place of the ids, a
+    sized stand-in whose length is the core's size. Used as is, it counts;
     RecordSink decides what every other mode reports for a core.
     """
+
+    reads_edges = False
 
     def __init__(self) -> None:
         self.cores = 0
@@ -76,7 +83,7 @@ class ResultSink:
     def bind(self, edges: Sequence[TemporalEdge]) -> None:
         """edges[i] is the edge of id i in the accumulators to come."""
 
-    def emit(self, ts: int, te: int, acc: list[int], prev_len: int) -> None:
+    def emit(self, ts: int, te: int, acc: Sequence[int], prev_len: int) -> None:
         self.cores += 1
         self.result_size += len(acc)
 
@@ -84,8 +91,9 @@ class ResultSink:
 class RecordSink(ResultSink):
     """Reports each core's edges as the mode decides, through record.
 
-    sizes reports no edges; delta the core's new edges, and full all of the
-    start time's edges so far, both as value(i) per edge id i, in id order.
+    sizes reports no edges, so it reads no ids and gets the sized stand-in;
+    delta the core's new edges, and full all of the start time's edges so
+    far, both as value(i) per edge id i, in id order.
     Without a value function, an edge's value is its TemporalEdge, taken
     from the bound edges; bind caches the function, so each id is mapped
     once. Both modes sort only the emission's new ids. full keeps the start
@@ -99,6 +107,7 @@ class RecordSink(ResultSink):
             raise ValueError(f"unknown sink mode {mode!r}")
         super().__init__()
         self.mode = mode
+        self.reads_edges = mode != "sizes"
         self.records = []
         self._value = value
         self._value_of = None
@@ -159,10 +168,11 @@ def enumerate_cores(index: CoreWindowIndex, span: tuple[int, int],
 
     node_ops counts window insertions, window deletions and end groups
     visited by the scans; peak_live and peak_state, the most live windows
-    and live windows plus accumulator, serve the memory contract. peak_live
-    is the first placement's count, as an expiry swaps a window for at most
-    its edge's next one. A deadline (a time.perf_counter value) is checked
-    once per start time.
+    and live windows plus a scan's largest core (its accumulator, when the
+    sink reads ids), serve the memory contract. peak_live is the first
+    placement's count, as an expiry swaps a window for at most its edge's
+    next one. A deadline (a time.perf_counter value) is checked once per
+    start time.
     """
     ts_lo, ts_hi = span
     if index.span != (ts_lo, ts_hi):
@@ -170,6 +180,7 @@ def enumerate_cores(index: CoreWindowIndex, span: tuple[int, int],
     edge, start, end = index.edge, index.start, index.end
     n = len(start)
     sink.bind(index.g.edges)
+    gather = sink.reads_edges
     # window ids by start time
     by_start: dict[int, list[int]] = {}
     for i, s in enumerate(start):
@@ -210,16 +221,28 @@ def enumerate_cores(index: CoreWindowIndex, span: tuple[int, int],
         if not starting:
             continue
         first = min(map(end.__getitem__, starting))
-        acc: list[int] = []
         prev_len = 0
-        for te in sorted(live):
-            ops += 1
-            acc.extend(live[te])
-            if te >= first:
-                sink.emit(t, te, acc, prev_len)
-                prev_len = len(acc)
-        if n_live + len(acc) > peak_state:
-            peak_state = n_live + len(acc)
+        # one branch per scan, so the gathering loop is the same for the
+        # id-reading sinks and the counting one does no per-group test
+        if gather:
+            acc: list[int] = []
+            for te in sorted(live):
+                ops += 1
+                acc.extend(live[te])
+                if te >= first:
+                    sink.emit(t, te, acc, prev_len)
+                    prev_len = len(acc)
+            size = len(acc)
+        else:
+            size = 0
+            for te in sorted(live):
+                ops += 1
+                size += len(live[te])
+                if te >= first:
+                    sink.emit(t, te, range(size), prev_len)
+                    prev_len = size
+        if n_live + size > peak_state:
+            peak_state = n_live + size
     return SweepStats(sink.cores - cores0, ops, sink.result_size - size0,
                       peak_live, peak_state)
 

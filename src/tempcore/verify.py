@@ -1,12 +1,14 @@
 """Cross-checks of the indexed pipeline against the reference oracle.
 
 check_instance runs one (graph, k, span) query through both routes and
-reports every disagreement: core times, minimal windows, and the three
+reports every disagreement: core times, minimal windows, the three
 enumerators compared as sets of canonical edge lists with their tightest
-intervals. run_verification drives the fixture graph and a seeded corpus of
-random graphs, and on the first failure opens the reproduction file, then
-greedily minimizes the failing instance and writes it there (edge list plus
-query), so an unwritable path is reported before any minimization.
+intervals, and the sweep's counting path, which a sink that reads no edge
+ids takes, against its full-mode run. run_verification drives the fixture
+graph and a seeded corpus of random graphs, and on the first failure opens
+the reproduction file, then greedily minimizes the failing instance and
+writes it there (edge list plus query), so an unwritable path is reported
+before any minimization.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .coretime import build_core_times
 from .graph import EmptyGraphError, TemporalGraph
 from .oracle import (brute_core_times, brute_core_windows, brute_enumerate,
                      window_cores)
-from .sweep import FullSink, enumerate_cores, enumerate_cores_baseline
+from .sweep import FullSink, RecordSink, enumerate_cores, enumerate_cores_baseline
 from .synth import random_edge_triples
 from .windows import build_core_windows
 
@@ -32,6 +34,11 @@ SUB_SPANS = 3
 def core_map(records) -> dict[tuple, tuple[int, int]]:
     """Canonical edge list -> tightest interval, for result records."""
     return {rec.edges: (rec.ts, rec.te) for rec in records}
+
+
+def core_sizes(records) -> list[tuple[int, int, int]]:
+    """(ts, te, size) per record, in emission order."""
+    return [(rec.ts, rec.te, rec.size) for rec in records]
 
 
 def check_instance(g: TemporalGraph, k: int, span: tuple[int, int]) -> list[str]:
@@ -59,7 +66,11 @@ def check_instance(g: TemporalGraph, k: int, span: tuple[int, int]) -> list[str]
                             f"built {got}, oracle {want}")
 
     sweep_sink = FullSink()
-    enumerate_cores(core_windows, span, sweep_sink)
+    sweep_stats = enumerate_cores(core_windows, span, sweep_sink)
+    # sizes mode reads no ids, so it takes the counting path; its records
+    # also give each core's (ts, te, size) to compare
+    sized_sink = RecordSink("sizes")
+    sized_stats = enumerate_cores(core_windows, span, sized_sink)
     base_sink = FullSink()
     enumerate_cores_baseline(core_windows, span, base_sink)
     brute = brute_enumerate(g, k, span)
@@ -75,6 +86,10 @@ def check_instance(g: TemporalGraph, k: int, span: tuple[int, int]) -> list[str]
     if base_map != brute_map:
         problems.append(f"baseline vs oracle cores differ ({where}): "
                         f"{len(base_map)} vs {len(brute_map)} distinct")
+    if sized_stats != sweep_stats or \
+            core_sizes(sized_sink.records) != core_sizes(sweep_sink.records):
+        problems.append(f"counting sweep vs full-mode sweep differ ({where}): "
+                        f"{sized_stats} vs {sweep_stats}")
     return problems
 
 

@@ -55,6 +55,7 @@ class FuzzInstance:
     seed: int
     k: int
     agree: bool
+    count_agrees: bool
     dup_free: bool
     nested: bool
     node_ops: int
@@ -97,7 +98,8 @@ def fuzz_corpus():
             counted = ResultSink()
             count_stats = enumerate_cores(core_windows, span, counted)
             instances.append(FuzzInstance(
-                seed=seed, k=k, agree=agree, dup_free=dup_free, nested=nested,
+                seed=seed, k=k, agree=agree, count_agrees=count_stats == sweep_stats,
+                dup_free=dup_free, nested=nested,
                 node_ops=sweep_stats.node_ops, windows_size=core_windows.size,
                 result_size=sweep_stats.result_size,
                 max_core=max((c.size for c in brute.cores), default=0),
@@ -182,10 +184,13 @@ def test_criterion_4_full_range_enumeration(g14):
 def test_criterion_5_oracle_equivalence_fuzz(fuzz_corpus):
     instances, elapsed = fuzz_corpus
     disagreements = [i for i in instances if not i.agree]
+    miscounted = [i for i in instances if not i.count_agrees]
     ok = (len(instances) == FUZZ_GRAPHS * len(FUZZ_KS)
           and not disagreements
+          and not miscounted
           and elapsed < 60.0)
-    _report(5, "sweep = baseline = brute on the seeded corpus", ok,
+    _report(5, "sweep = baseline = brute, and count-mode sweep stats = full-mode "
+               "ones, on the seeded corpus", ok,
             f"{len(instances)} instances in {elapsed:.1f} s")
 
 

@@ -11,7 +11,7 @@ from tempcore import (BudgetExceeded, CoreResult, FullSink, RecordSink, ResultSi
                       TemporalEdge, TemporalGraph, brute_enumerate, build_core_times,
                       build_core_windows, canonical_edges, enumerate_cores,
                       enumerate_cores_baseline, make_sink)
-from tempcore.synth import burst_graph, random_graph
+from tempcore.synth import burst_graph, random_edge_triples, random_graph
 from tempcore.windows import CoreWindowIndex
 
 from .conftest import GOLDEN_14_CORES, GOLDEN_FULL_CORES, label_vertices
@@ -193,6 +193,8 @@ class TestEnumerate:
 class _Emissions(ResultSink):
     """Counts like ResultSink and keeps a copy of every emission."""
 
+    reads_edges = True
+
     def __init__(self) -> None:
         super().__init__()
         self.seen: list[tuple[int, int, list]] = []
@@ -310,6 +312,32 @@ class TestSinks:
                 acc.update(drec.edges)
                 assert acc == set(frec.edges)
 
+    @pytest.mark.parametrize("case", ["g14", "corpus", "burst", "uniform"])
+    def test_modes_agree_per_core(self, g14, case):
+        # count and sizes take the counting path, delta and full gather ids;
+        # all four give the same stats and the same (ts, te, size) per core
+        for g, k, span in mode_cases(case, g14):
+            cwi = windows_index(g, k, span)
+            seen = {}
+            for mode in ("count", "sizes", "delta", "full"):
+                sink = _Sizes() if mode == "count" else _SizedRecords(mode)
+                st = enumerate_cores(cwi, span, sink)
+                seen[mode] = st, sink.sizes
+            assert st.cores > 0, (case, k, span)
+            assert all(run == seen["full"] for run in seen.values()), (case, k, span)
+
+    def test_counting_sink_gets_no_id_list(self, g14):
+        # a sink that reads no ids is handed a stand-in of the core's size,
+        # which test_modes_agree_per_core checks
+        cases = [case for name in ("g14", "corpus") for case in mode_cases(name, g14)]
+        for g, k, span in cases:
+            sink = _Sizes()
+            enumerate_cores(windows_index(g, k, span), span, sink)
+            assert sink.handed and list not in sink.handed, (k, span)
+        # sizes mode counts too; delta and full read ids
+        assert [RecordSink(mode).reads_edges for mode in ("sizes", "delta", "full")] \
+            == [False, True, True]
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             make_sink("verbose")
@@ -353,6 +381,50 @@ class TestSinks:
             return min(times)
 
         assert best_of_3(FullSink) <= 8 * best_of_3(ResultSink)
+
+
+class _Sizes(ResultSink):
+    """Counts like ResultSink, reading no ids, and keeps each core's
+    (ts, te, size) and the types of the stand-ins it was handed."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.sizes: list[tuple[int, int, int]] = []
+        self.handed: set[type] = set()
+
+    def emit(self, ts, te, acc, prev_len):
+        super().emit(ts, te, acc, prev_len)
+        self.sizes.append((ts, te, len(acc)))
+        self.handed.add(type(acc))
+
+
+class _SizedRecords(RecordSink):
+    """A RecordSink that keeps only each core's (ts, te, size)."""
+
+    def __init__(self, mode: str) -> None:
+        super().__init__(mode)
+        self.sizes: list[tuple[int, int, int]] = []
+
+    def record(self, ts, te, size, values):
+        self.sizes.append((ts, te, size))
+
+
+def mode_cases(name, g14):
+    """(graph, k, span) queries on g14, the first verify corpus draw, the
+    12k burst graph over its whole range, and U20k cut to t <= 60."""
+    if name == "g14":
+        return [(g14, k, span) for k in (1, 2) for span in ((1, 7), (3, 7))]
+    if name == "corpus":
+        g = TemporalGraph.from_triples(random_edge_triples(random.Random(0)))
+        return [(g, k, (1, g.t_count)) for k in (1, 2, 3)]
+    if name == "burst":
+        g = burst_graph(5, timestamps=2000, clique=10, target_edges=12000)
+        return [(g, 2, (1, g.t_count))]
+    rng = random.Random(1)
+    draws = [(rng.randrange(500), rng.randrange(500), rng.randint(1, 500))
+             for _ in range(20_000)]
+    g = TemporalGraph.from_triples([d for d in draws if d[2] <= 60])
+    return [(g, k, (1, 60)) for k in (2, 3)]
 
 
 class TestAgreement:

@@ -558,6 +558,20 @@ class TestCliVerify:
         assert check_instance(g14, 2, (1, 7)) == \
             ["sweep emitted a duplicate core (k=2 span=[1,7])"]
 
+    def test_miscounting_sweep_fails(self, g14, monkeypatch):
+        # a sizes sink that takes the counting path but loses one edge of
+        # each core, all else equal to the oracle
+        class Miscounting(tempcore.verify.RecordSink):
+            def emit(self, ts, te, acc, prev_len):
+                super().emit(ts, te, acc[1:], prev_len)
+
+        monkeypatch.setattr(tempcore.verify, "RecordSink", Miscounting)
+        problems = check_instance(g14, 2, (1, 7))
+        assert len(problems) == 1
+        assert problems[0].startswith(
+            "counting sweep vs full-mode sweep differ (k=2 span=[1,7]): "
+            "SweepStats(cores=13, node_ops=50, result_size=92,")
+
     def test_still_fails_rechecks_the_clamped_span(self, monkeypatch):
         # minimization re-checks the full range, and the failing span
         # clamped to the shrunk graph's times when that differs from it
