@@ -33,10 +33,8 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from collections import Counter
-from itertools import accumulate, repeat
 
-from .graph import TemporalGraph, WindowPeel, check_deadline
+from .graph import TemporalGraph, WindowPeel, check_deadline, counting_offsets
 
 Runs = tuple[tuple[int, int | None], ...]
 
@@ -139,12 +137,12 @@ def build_core_times(g: TemporalGraph, k: int, span: tuple[int, int],
             add_start(ts)
             add_end(ct[x])
 
-    # stable counting sort of the runs by vertex
-    count = Counter(run_v)
-    offsets = array("i", accumulate(map(count.get, range(n), repeat(0, n)), initial=0))
+    # stable counting sort of the runs by vertex; cursor[v] is where v's
+    # next run goes
+    offsets = counting_offsets(run_v, n)
+    cursor = offsets[:-1]
     starts = array("i", bytes(4 * len(run_v)))
     ends = array("i", bytes(4 * len(run_v)))
-    cursor = offsets.tolist()
     for v, s, e in zip(run_v, run_start, run_end):
         i = cursor[v]
         starts[i] = s
@@ -187,7 +185,7 @@ def _initial_core_times(g: TemporalGraph, k: int, span: tuple[int, int],
     ct = [ts_hi + 1] * g.n
     for te in range(ts_hi, ts_lo - 1, -1):
         check_deadline(deadline, "first core-time peel at end", te)
-        if not peel.nbr:
+        if not peel.size:
             break
         for w in peel.drop(te):
             ct[w] = te

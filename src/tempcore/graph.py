@@ -17,7 +17,11 @@ whose entries share one int object per vertex id and per rank, so the hot
 loops read them without making ints; the offsets are 32-bit arrays. The
 100k-edge burst graph of acceptance criterion 8 holds 8.9 MiB, 93 bytes
 per edge (tracemalloc), against 29.6 MiB for a TemporalEdge and two
-adjacency tuples per edge. edges makes TemporalEdges on access.
+adjacency tuples per edge, and its build from triples peaks at 13.9 MiB
+(18.7 MiB with a Counter of degrees and a list of cursors). edges makes
+TemporalEdges on access. WindowPeel keeps flat columns too: its peel of
+that graph's whole range with k=2, drops included, peaks at 1.8 MiB,
+against 18.9 MiB with a dict of neighbours per vertex.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
-from operator import itemgetter
+from operator import itemgetter, sub
 from typing import Iterable, NamedTuple
 
 
@@ -102,6 +106,15 @@ def compress_timestamps(raw_ts: Iterable[int]) -> TimeDomain:
     return TimeDomain(tuple(values), {raw: i for i, raw in enumerate(values, start=1)})
 
 
+def counting_offsets(keys: Iterable[int], n: int) -> array:
+    """Where each key's run begins in a counting sort of keys, all in
+    range(n), as n + 1 32-bit offsets; no int object is kept per key."""
+    count = array("i", bytes(4 * n))
+    for x in keys:
+        count[x] += 1
+    return array("i", accumulate(count, initial=0))
+
+
 class TemporalGraph:
     """Undirected temporal graph, frozen after construction.
 
@@ -133,11 +146,10 @@ class TemporalGraph:
         self.edge_t = edge_t
         self.t_off = array("i", [bisect_left(edge_t, t)
                                  for t in range(time_domain.t_count + 2)])
-        degree = Counter(chain(edge_u, edge_v))
-        adj_off = array("i", accumulate(map(degree.__getitem__, range(n)), initial=0))
+        adj_off = counting_offsets(chain(edge_u, edge_v), n)
+        cursor = adj_off[:-1]
         adj_t = [0] * (2 * m)
         adj_y = [0] * (2 * m)
-        cursor = adj_off.tolist()
         # filling in (t, u, v) edge order leaves each vertex's pairs sorted:
         # at one t, x's neighbours u < x come from edges (u, x), ordered by
         # u, before its neighbours v > x from edges (x, v)
@@ -260,64 +272,91 @@ def _triples(stream: Iterable[str]) -> Iterator[tuple[int, int, int]]:
 class WindowPeel:
     """The k-core of the window [lo, hi], shrunk from the right.
 
-    nbr maps each vertex of the core to its in-core neighbours, each with
-    the earliest time in the window of an edge joining the pair. drop(te)
+    The state is flat: alive[v] is 1 while v is in the core, size counts
+    those vertices, and deg[v] is a live vertex's number of distinct live
+    neighbours. v's entries of the window [lo, hi] in the CSR are
+    lo_pos[v]:hi_pos[v]; no map is kept per pair or per vertex. drop(te)
     removes the edges of end time te, the window's current last timestamp,
     and peels to the k-core again: a pair's later edges are gone by then,
-    so it leaves exactly when te is its earliest time.
+    so it leaves exactly when its first entry from lo_pos on is at te.
     """
 
-    __slots__ = ("k", "nbr", "g")
+    __slots__ = ("g", "k", "lo_pos", "hi_pos", "deg", "alive", "size")
 
     def __init__(self, g: TemporalGraph, k: int, lo: int, hi: int) -> None:
-        nbr: dict[int, dict[int, int]] = {}
-        edge_u, edge_v, edge_t = g.edge_u, g.edge_v, g.edge_t
-        # indexed, not sliced: a slice of the whole range would copy it;
-        # ids ascend in time, so a pair's first edge sets its time
-        for i in g.ids_in(lo, hi):
-            u = edge_u[i]
-            v = edge_v[i]
-            t = edge_t[i]
-            nbr.setdefault(u, {}).setdefault(v, t)
-            nbr.setdefault(v, {}).setdefault(u, t)
-        self.k = k
-        self.nbr = nbr
+        n, off, adj_t, adj_y = g.n, g.adj_off, g.adj_t, g.adj_y
+        # a vertex with fewer than k entries in the window has fewer than k
+        # neighbours there, so it goes out before any degree is counted
+        if (lo, hi) == (1, g.t_count):
+            lo_pos, hi_pos = off[:-1], off[1:]
+            members = range(n)
+            alive = bytearray(map(k.__le__, map(sub, hi_pos, lo_pos)))
+        else:
+            # v's entries in the window are as many as its window edges, and
+            # they are one run of its CSR slice
+            lo_pos = array("i", bytes(4 * n))
+            hi_pos = array("i", bytes(4 * n))
+            a, b = g.t_off[lo], g.t_off[hi + 1]
+            entries = Counter(chain(g.edge_u[a:b], g.edge_v[a:b]))
+            members = [v for v, c in entries.items() if c >= k]
+            alive = bytearray(n)
+            for v in members:
+                i = lo_pos[v] = bisect_left(adj_t, lo, off[v], off[v + 1])
+                hi_pos[v] = i + entries[v]
+                alive[v] = 1
+        deg = array("i", bytes(4 * n))
+        live = alive.__getitem__
+        queue = []
+        for v in members:
+            if alive[v]:
+                d = deg[v] = len(set(filter(live, adj_y[lo_pos[v]:hi_pos[v]])))
+                if d < k:
+                    queue.append(v)
         self.g = g
-        self._peel([v for v, d in nbr.items() if len(d) < k])
+        self.k = k
+        self.lo_pos = lo_pos
+        self.hi_pos = hi_pos
+        self.deg = deg
+        self.alive = alive
+        self.size = alive.count(1)
+        self._peel(queue, hi + 1)
 
-    def _peel(self, queue: list[int]) -> list[int]:
-        # a vertex is queued once, when its degree falls below k, and a
-        # peeled vertex leaves every map, so all maps hold live vertices
-        nbr = self.nbr
+    def _peel(self, queue: list[int], te: int) -> list[int]:
+        # queue holds each vertex once, when its degree falls below k; a
+        # vertex leaves as it is reached, and takes one from the degree of
+        # each live neighbour it still has before te
+        adj_t, adj_y = self.g.adj_t, self.g.adj_y
+        alive, deg, lo_pos, hi_pos = self.alive, self.deg, self.lo_pos, self.hi_pos
         k1 = self.k - 1
-        peeled = []
-        while queue:
-            w = queue.pop()
-            peeled.append(w)
-            for x in nbr.pop(w):
-                dx = nbr[x]
-                del dx[w]
-                if len(dx) == k1:
-                    queue.append(x)
-        return peeled
+        for w in queue:
+            alive[w] = 0
+            i = lo_pos[w]
+            for x in set(adj_y[i:bisect_left(adj_t, te, i, hi_pos[w])]):
+                if alive[x]:
+                    d = deg[x] = deg[x] - 1
+                    if d == k1:
+                        queue.append(x)
+        self.size -= len(queue)
+        return queue
 
     def drop(self, te: int) -> list[int]:
         """Remove the edges of end time te; return the vertices peeled out."""
-        nbr = self.nbr
+        g = self.g
+        adj_t, adj_y = g.adj_t, g.adj_y
+        alive, deg, lo_pos = self.alive, self.deg, self.lo_pos
         k1 = self.k - 1
         queue = []
-        for u, v, _ in self.g.edges_in(te, te):
-            du = nbr.get(u)
-            if du is None or du.get(v) != te:
-                continue
-            del du[v]
-            dv = nbr[v]
-            del dv[u]
-            if len(du) == k1:
-                queue.append(u)
-            if len(dv) == k1:
-                queue.append(v)
-        return self._peel(queue)
+        a, b = g.t_off[te], g.t_off[te + 1]
+        for u, v in zip(g.edge_u[a:b], g.edge_v[a:b]):
+            # the pair leaves when this is its first edge in the window
+            if alive[u] and alive[v] and adj_t[adj_y.index(v, lo_pos[u])] == te:
+                d = deg[u] = deg[u] - 1
+                if d == k1:
+                    queue.append(u)
+                d = deg[v] = deg[v] - 1
+                if d == k1:
+                    queue.append(v)
+        return self._peel(queue, te)
 
 
 def static_coreness(g: TemporalGraph, window: tuple[int, int]) -> list[int]:

@@ -105,26 +105,28 @@ def brute_enumerate(g: TemporalGraph, k: int, span: tuple[int, int],
         scanned += ts_hi - ts + 1
         check_deadline(deadline, "brute scan at start", ts)
         peel = WindowPeel(g, k, ts, ts_hi)
-        nbr = peel.nbr
-        if not nbr:
+        if not peel.size:
             continue
+        alive = peel.alive
         live_edges = {e for e in span_edges[t_off[ts] - first:]
-                      if e.u in nbr and e.v in nbr}
+                      if alive[e.u] and alive[e.v]}
         changed = True
         for te in range(ts_hi, ts - 1, -1):
-            # nbr and live_edges now describe the core of [ts, te]
+            # the live vertices and live_edges now describe the core of [ts, te]
             if changed and live_edges:
                 key = frozenset(live_edges)
                 if key not in seen:
                     seen.add(key)
                     edges = canonical_edges(live_edges)
-                    out.append(CoreSubgraph(frozenset(nbr), edges,
+                    # every core vertex has a neighbour in the core
+                    vertices = frozenset([e.u for e in edges] + [e.v for e in edges])
+                    out.append(CoreSubgraph(vertices, edges,
                                             (edges[0].t, edges[-1].t)))
-            if not nbr:
+            if not peel.size:
                 break
             changed = False
             for e in span_edges[t_off[te] - first:t_off[te + 1] - first]:
-                if e.u in nbr and e.v in nbr:
+                if alive[e.u] and alive[e.v]:
                     live_edges.discard(e)
                     changed = True
             for w in peel.drop(te):

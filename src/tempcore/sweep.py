@@ -6,11 +6,17 @@ accumulate edge ids (enumerate_cores only for a sink that reads them).
 
 enumerate_cores walks start times once. The live minimal windows are held
 in groups keyed by end time, each group the set of ids of the edges whose
-live window ends there. At start time ts an edge's live window is its
-first window starting no earlier than ts: its first window is live from
-the span start, and when a window expires (ts passes its start) the edge's
-next window, the next window id, takes its place, so at any moment each
-edge contributes at most one window. For a start time at which some window
+live window ends there, or, for a sink that reads no ids, only their
+number; the window ids are bucketed by start time in 32-bit arrays. So a
+count-mode sweep holds no int object per window or per edge: on the
+100k-edge burst graph with k=2 over its whole range its own tracemalloc
+peak is 0.6 MiB, against 10.3 MiB with a set per group and a list per
+start time. The id-reading groups stay sets, as extending the
+accumulator by a set runs in C. At start time ts an edge's live window is
+its first window starting no earlier than ts: its first window is live
+from the span start, and when a window expires (ts passes its start) the
+edge's next window, the next window id, takes its place, so at any moment
+each edge contributes at most one window. For a start time at which some window
 actually starts, one scan emits every distinct core whose tightest
 interval begins there: the groups are accumulated in end order, and each
 group from the smallest end of a window starting exactly there onward is
@@ -29,7 +35,7 @@ Both bind the sink to index.g.edges, then hand it each core as (ts,
 te, accumulated ids, prev_len); each reports as its cores and result_size
 how far the sink's counts rose. A sink whose reads_edges is false, as in
 count and sizes mode, reads only len(acc), so enumerate_cores sums group
-sizes instead and hands it range(size), a sized stand-in holding no ids.
+counts instead and hands it range(size), a sized stand-in holding no ids.
 A ResultSink counts; a RecordSink reports no edges (sizes), the core's new
 edges (delta) or all its edges (full), mapped once per edge id to a value,
 in id order, which is (t, u, v) order.
@@ -42,10 +48,12 @@ stream writer is a RecordSink whose values are result-line texts.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 
 from .graph import TemporalEdge, check_deadline
 from .windows import CoreWindowIndex
@@ -181,19 +189,23 @@ def enumerate_cores(index: CoreWindowIndex, span: tuple[int, int],
     n = len(start)
     sink.bind(index.g.edges)
     gather = sink.reads_edges
-    # window ids by start time
-    by_start: dict[int, list[int]] = {}
+    # window ids by start time, as 32-bit arrays
+    by_start: dict[int, array] = defaultdict(partial(array, "i"))
     for i, s in enumerate(start):
-        by_start.setdefault(s, []).append(i)
-    # each edge's first window is live from the span start; the groups are
-    # made in a loop of their own, as made amid the by_start lists the
-    # sweep read about 5% slower
-    live: dict[int, set[int]] = {}
+        by_start[s].append(i)
+    # the live windows by end time: the ids of their edges when the sink
+    # reads them, else only how many there are. Each edge's first window is
+    # live from the span start; the groups are made in a loop of their own,
+    # as made amid the by_start arrays the sweep read about 5% slower
+    live: dict[int, set[int] | int] = {}
     n_live = 0
     prev = None
     for e, te in zip(edge, end):
         if e != prev:
-            live.setdefault(te, set()).add(e)
+            if gather:
+                live.setdefault(te, set()).add(e)
+            else:
+                live[te] = live.get(te, 0) + 1
             n_live += 1
             prev = e
     ops = peak_live = n_live
@@ -205,14 +217,23 @@ def enumerate_cores(index: CoreWindowIndex, span: tuple[int, int],
         for i in expired:
             e = edge[i]
             te = end[i]
-            group = live[te]
-            group.remove(e)
-            if not group:
+            if gather:
+                group = live[te]
+                group.remove(e)
+                if not group:
+                    del live[te]
+            elif live[te] > 1:
+                live[te] -= 1
+            else:
                 del live[te]
             # the edge's next window goes live as this one expires
             j = i + 1
             if j < n and edge[j] == e:
-                live.setdefault(end[j], set()).add(e)
+                te = end[j]
+                if gather:
+                    live.setdefault(te, set()).add(e)
+                else:
+                    live[te] = live.get(te, 0) + 1
                 n_live += 1
                 ops += 1
         n_live -= len(expired)
@@ -237,7 +258,7 @@ def enumerate_cores(index: CoreWindowIndex, span: tuple[int, int],
             size = 0
             for te in sorted(live):
                 ops += 1
-                size += len(live[te])
+                size += live[te]
                 if te >= first:
                     sink.emit(t, te, range(size), prev_len)
                     prev_len = size

@@ -20,22 +20,20 @@ built from, g, whose ids the edge column holds; its span edges are the ids
 g.ids_in(*span). by_edge is the one read view: it gives each span edge, as
 a TemporalEdge, its (start, end) pairs, made from the columns on demand.
 
-Order invariant: every index, built or made by from_windows, holds its
-windows in edge id order, which is (t, u, v) order, then by start. So an
-edge's windows are one run of the columns, which by_edge and the baseline
-enumerator find by bisecting `edge`, and the sweep's next window for an
-edge is the next window id.
+Order invariant: every index holds its windows in edge id order, which is
+(t, u, v) order, then by start. So an edge's windows are one run of the
+columns, which by_edge and the baseline enumerator find by bisecting
+`edge`, and the sweep's next window for an edge is the next window id.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping
 
 from .coretime import CoreTimeIndex
-from .graph import (TemporalEdge, TemporalGraph, canonical_edges, check_deadline,
-                    compress_timestamps)
+from .graph import TemporalEdge, TemporalGraph, check_deadline
 
 # span edges walked between two deadline checks; a check per timestamp made
 # the build 8% slower on the burst graph (k=2, full range), 18% on criterion 8's span
@@ -60,28 +58,6 @@ class CoreWindowIndex:
         self.edge = edge
         self.start = start
         self.end = end
-
-    @classmethod
-    def from_windows(cls, k: int, span: tuple[int, int],
-                     by_edge: Mapping[TemporalEdge, Sequence[tuple[int, int]]]
-                     ) -> "CoreWindowIndex":
-        """An index holding the given (start, end) windows per edge; the
-        edges' ids number them in (t, u, v) order, whatever the mapping's
-        order. Its graph is one over the mapping's edges, with their own
-        ids and times, so by_edge finds an id by bisection."""
-        edges = canonical_edges(by_edge)
-        n = 1 + max((max(e.u, e.v) for e in edges), default=-1)
-        t_count = max(span[1], edges[-1].t if edges else 0)
-        g = TemporalGraph(list(range(n)), compress_timestamps(range(1, t_count + 1)),
-                          [e.u for e in edges], [e.v for e in edges],
-                          [e.t for e in edges])
-        edge, start, end = array("i"), array("i"), array("i")
-        for i, e in enumerate(edges):
-            for a, b in sorted(by_edge[e]):
-                edge.append(i)
-                start.append(a)
-                end.append(b)
-        return cls(k, tuple(span), g, edge, start, end)
 
     @property
     def size(self) -> int:

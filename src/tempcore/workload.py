@@ -72,7 +72,7 @@ def place_span(g: TemporalGraph, k: int, width: int,
         ts0 = rng.randint(1, g.t_count - width + 1)
         if ts0 not in rejected:
             span = (ts0, ts0 + width - 1)
-            if WindowPeel(g, k, *span).nbr:
+            if WindowPeel(g, k, *span).size:
                 return span, attempt
             rejected.add(ts0)
     raise WorkloadError(f"no width-{width} range with a {k}-core found "

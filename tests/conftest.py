@@ -8,10 +8,13 @@ peeling oracle inside the tests that consume it.
 from __future__ import annotations
 
 import io
+from array import array
 
 import pytest
 
-from tempcore import TemporalEdge, parse_edge_list
+from tempcore import (TemporalEdge, TemporalGraph, canonical_edges,
+                      compress_timestamps, parse_edge_list)
+from tempcore.windows import CoreWindowIndex
 
 G14_TEXT = """\
 # toy fixture: 9 vertices, 14 timestamped edges
@@ -121,3 +124,25 @@ def windows_by_label(index, g) -> dict[tuple[int, int, int], tuple]:
         if wins:
             out[(lu, lv, e.t)] = tuple(wins)
     return out
+
+
+def index_from_windows(k: int, span: tuple[int, int], by_edge) -> CoreWindowIndex:
+    """A window index holding the given (start, end) windows per edge.
+
+    The edges' ids number them in (t, u, v) order, whatever the mapping's
+    order. The index's graph is one over the mapping's edges, with their own
+    ids and times, so by_edge finds an id by bisection.
+    """
+    edges = canonical_edges(by_edge)
+    n = 1 + max((max(e.u, e.v) for e in edges), default=-1)
+    t_count = max(span[1], edges[-1].t if edges else 0)
+    g = TemporalGraph(list(range(n)), compress_timestamps(range(1, t_count + 1)),
+                      [e.u for e in edges], [e.v for e in edges],
+                      [e.t for e in edges])
+    edge, start, end = array("i"), array("i"), array("i")
+    for i, e in enumerate(edges):
+        for a, b in sorted(by_edge[e]):
+            edge.append(i)
+            start.append(a)
+            end.append(b)
+    return CoreWindowIndex(k, tuple(span), g, edge, start, end)

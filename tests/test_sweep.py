@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -12,9 +13,9 @@ from tempcore import (BudgetExceeded, CoreResult, FullSink, RecordSink, ResultSi
                       build_core_windows, canonical_edges, enumerate_cores,
                       enumerate_cores_baseline, make_sink)
 from tempcore.synth import burst_graph, random_edge_triples, random_graph
-from tempcore.windows import CoreWindowIndex
 
-from .conftest import GOLDEN_14_CORES, GOLDEN_FULL_CORES, label_vertices
+from .conftest import (GOLDEN_14_CORES, GOLDEN_FULL_CORES, index_from_windows,
+                       label_vertices)
 
 
 def windows_index(g, k, span):
@@ -28,7 +29,7 @@ def result_map(records):
 def hand_index(span, windows):
     """A window index assembled directly from (edge, start, end) windows,
     one per edge."""
-    return CoreWindowIndex.from_windows(2, span, {
+    return index_from_windows(2, span, {
         TemporalEdge(*edge): [(start, end)] for edge, start, end in windows})
 
 
@@ -111,7 +112,7 @@ class TestEnumerate:
     def test_all_windows_equal(self):
         edge = TemporalEdge(0, 1, 1)
         other = TemporalEdge(0, 2, 1)
-        cwi = CoreWindowIndex.from_windows(1, (1, 3), {
+        cwi = index_from_windows(1, (1, 3), {
             edge: [(1, 2)],
             other: [(1, 2)],
         })
@@ -182,7 +183,7 @@ class TestEnumerate:
         for seed in (1, 2, 3):
             items = list(cwi.by_edge.items())
             random.Random(seed).shuffle(items)
-            shuffled = CoreWindowIndex.from_windows(cwi.k, cwi.span, dict(items))
+            shuffled = index_from_windows(cwi.k, cwi.span, dict(items))
             assert (shuffled.edge, shuffled.start, shuffled.end) == \
                 (cwi.edge, cwi.start, cwi.end)
             other = FullSink()
@@ -338,6 +339,23 @@ class TestSinks:
         assert [RecordSink(mode).reads_edges for mode in ("sizes", "delta", "full")] \
             == [False, True, True]
 
+    def test_count_mode_memory(self):
+        # counting keeps how many live windows end at each time and the
+        # window ids by start time in 32-bit arrays: a peak of 7 bytes per
+        # live window here, against 126 for a set of edge ids per end time
+        # and lists of window ids
+        g = burst_graph(5, timestamps=2000, clique=10, target_edges=12000)
+        span = (1, g.t_count)
+        cwi = windows_index(g, 2, span)
+        tracemalloc.start()
+        try:
+            st = enumerate_cores(cwi, span, ResultSink())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert st.peak_live > 10_000
+        assert peak < 32 * st.peak_live, (peak, st.peak_live)
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             make_sink("verbose")
@@ -361,15 +379,25 @@ class TestSinks:
         # closing edge at 2m - j, so its one minimal window is [j, 2m - j]
         # and each start time's core gathers its edges in no id order; a
         # sink that shifts its run per new id takes time quadratic in a core
-        m = 1000
-        triples = []
-        for j in range(1, m + 1):
-            triples += [(3 * j, 3 * j + 1, j), (3 * j + 1, 3 * j + 2, j),
-                        (3 * j, 3 * j + 2, 2 * m - j)]
-        g = TemporalGraph.from_triples(triples)
-        span = (1, g.t_count)
-        cwi = windows_index(g, 2, span)
+        def nested(m):
+            triples = []
+            for j in range(1, m + 1):
+                triples += [(3 * j, 3 * j + 1, j), (3 * j + 1, 3 * j + 2, j),
+                            (3 * j, 3 * j + 2, 2 * m - j)]
+            g = TemporalGraph.from_triples(triples)
+            span = (1, g.t_count)
+            return windows_index(g, 2, span), span
 
+        # counted, not timed: at m and 2m the sink maps one value per edge
+        # of each core it reports, so its work grows with the output
+        for m in (500, 1000):
+            cwi, span = nested(m)
+            sink = _Mapped()
+            enumerate_cores(cwi, span, sink)
+            assert (sink.cores, sink.result_size) == (m, 3 * m * (m + 1) // 2)
+            assert sink.mapped == sink.result_size, m
+
+        # the larger one, m = 1000, is also timed against counting
         def best_of_3(make) -> float:
             times = []
             for _ in range(3):
@@ -381,6 +409,21 @@ class TestSinks:
             return min(times)
 
         assert best_of_3(FullSink) <= 8 * best_of_3(ResultSink)
+
+
+class _Mapped(FullSink):
+    """A FullSink that counts the values it maps, cached or not."""
+
+    def bind(self, edges):
+        super().bind(edges)
+        self.mapped = 0
+        value_of = self._value_of
+
+        def counted(i):
+            self.mapped += 1
+            return value_of(i)
+
+        self._value_of = counted
 
 
 class _Sizes(ResultSink):

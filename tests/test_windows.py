@@ -15,9 +15,9 @@ from tempcore import (BudgetExceeded, EmptyGraphError, TemporalEdge, TemporalGra
                       brute_core_windows, build_core_times, build_core_windows,
                       parse_edge_list, temporal_kcore)
 from tempcore.synth import burst_graph, random_graph
-from tempcore.windows import CoreWindowIndex
 
-from .conftest import G14_TEXT, GOLDEN_WINDOWS, dense_edge, windows_by_label
+from .conftest import (G14_TEXT, GOLDEN_WINDOWS, dense_edge, index_from_windows,
+                       windows_by_label)
 
 
 def build_both(g, k, span):
@@ -191,8 +191,8 @@ def test_windows_in_edge_then_start_order(triples, data):
     b = data.draw(st.integers(a, g.t_count), label="te")
     for k in (1, 2, 3):
         built = build_both(g, k, (a, b))
-        made = CoreWindowIndex.from_windows(k, (a, b),
-                                            dict(reversed(list(built.by_edge.items()))))
+        reordered = dict(reversed(list(built.by_edge.items())))
+        made = index_from_windows(k, (a, b), reordered)
         for cwi in (built, made):
             keys = list(zip(cwi.edge, cwi.start))
             assert keys == sorted(set(keys)), k
@@ -220,7 +220,7 @@ def test_made_index_reads_by_edge_like_the_built_one():
     g = burst_graph(5, timestamps=2000, clique=10, target_edges=12000)
     span = (1, g.t_count)
     built = build_both(g, 2, span)
-    made = CoreWindowIndex.from_windows(2, span, dict(built.by_edge))
+    made = index_from_windows(2, span, dict(built.by_edge))
     started = time.perf_counter()
     read = dict(made.by_edge)
     elapsed = time.perf_counter() - started
