@@ -15,13 +15,14 @@ x's incident (t, neighbour) pairs are adj_t[i], adj_y[i] for i in
 adj_off[x]:adj_off[x + 1], sorted by (t, neighbour). The columns are lists
 whose entries share one int object per vertex id and per rank, so the hot
 loops read them without making ints; the offsets are 32-bit arrays. The
-100k-edge burst graph of acceptance criterion 8 holds 8.9 MiB, 93 bytes
-per edge (tracemalloc), against 29.6 MiB for a TemporalEdge and two
-adjacency tuples per edge, and its build from triples peaks at 13.9 MiB
-(18.7 MiB with a Counter of degrees and a list of cursors). edges makes
-TemporalEdges on access. WindowPeel keeps flat columns too: its peel of
-that graph's whole range with k=2, drops included, peaks at 1.8 MiB,
-against 18.9 MiB with a dict of neighbours per vertex.
+100k-edge burst graph of acceptance criterion 8 holds 11.1 MiB parsed
+(tracemalloc); less its 2.3 MiB of label and raw timestamp ints, 8.8 MiB
+against 29.6 MiB for a TemporalEdge and two adjacency tuples per edge. Its
+parse peaks at 12.5 MiB and starts no collection, against 21.8 MiB and 142
+collections for a (t, u, v) key tuple per edge. edges makes TemporalEdges
+on access. WindowPeel keeps flat columns too: its peel of that graph's
+whole range with k=2, drops included, peaks at 1.8 MiB, against 18.9 MiB
+with a dict of neighbours per vertex.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
-from operator import itemgetter, sub
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import add, floordiv, mod, mul, ne, sub
 from typing import Iterable, NamedTuple
 
 
@@ -180,26 +181,49 @@ class TemporalGraph:
 
     @classmethod
     def from_triples(cls, triples: Iterable[tuple[int, int, int]]) -> "TemporalGraph":
-        """Build a graph from raw (u, v, t) triples, read in one pass.
+        """Build a graph from raw (u, v, t) integer triples, read in one pass.
 
         Self-loops are dropped, endpoints canonicalized, duplicate triples
-        collapsed, timestamps compressed.
+        collapsed, timestamps compressed; a value outside the signed 64-bit
+        range raises ValueError. No object is kept per edge before the columns.
         """
-        # raw (t, lo, hi) keys sort as the ids will, since the numbering of
-        # vertices and times keeps their order; a dict keeps the input's
-        # time order, which makes the sort cheap
-        keys = sorted(dict.fromkeys((t, u, v) if u < v else (t, v, u)
-                                    for u, v, t in triples if u != v))
-        if not keys:
+        los, his, ts = array("q"), array("q"), array("q")
+        add_lo, add_hi, add_t = los.append, his.append, ts.append
+        try:
+            for u, v, t in triples:
+                if u != v:
+                    add_lo(u if u < v else v)
+                    add_hi(v if u < v else u)
+                    add_t(t)
+        except OverflowError:
+            raise ValueError("value outside the signed 64-bit range") from None
+        if not ts:
             raise EmptyGraphError("no edges remain after normalization")
-        ts, us, vs = (list(map(itemgetter(i), keys)) for i in range(3))
-        del keys
-        labels = sorted(set(us).union(vs))
+        labels = sorted(set(los).union(his))
         domain = compress_timestamps(ts)
-        dense = dict(zip(labels, range(len(labels))))
-        return cls(labels, domain, list(map(dense.__getitem__, us)),
-                   list(map(dense.__getitem__, vs)),
-                   list(map(domain.rank_of_raw.__getitem__, ts)))
+        n = len(labels)
+        dense = dict(zip(labels, range(n)))
+        us = array("i", map(dense.__getitem__, los))
+        vs = array("i", map(dense.__getitem__, his))
+        rs = array("i", map(domain.rank_of_raw.__getitem__, ts))
+        del dense, los, his, ts, add_lo, add_hi, add_t
+        # rank*n*n + u*n + v sorts as (t, u, v) does, and the input's time
+        # order makes the sort cheap; equal keys are duplicate triples
+        nn = n * n
+        keys = list(map(add, map(mul, rs, repeat(nn)),
+                        map(add, map(mul, us, repeat(n)), vs)))
+        del us, vs, rs
+        keys.sort()
+        keys = list(compress(keys, chain((True,), map(ne, islice(keys, 1, None), keys))))
+        # the lookups share one int per vertex id and per rank (the time
+        # domain's own); u is key // n % n, faster than key % (n*n) // n
+        ids, ranks = list(range(n)), [0, *domain.rank_of_raw.values()]
+        edge_t = list(map(ranks.__getitem__, map(floordiv, keys, repeat(nn))))
+        edge_u = list(map(ids.__getitem__,
+                          map(mod, map(floordiv, keys, repeat(n)), repeat(n))))
+        edge_v = list(map(ids.__getitem__, map(mod, keys, repeat(n))))
+        del keys
+        return cls(labels, domain, edge_u, edge_v, edge_t)
 
     def ids_in(self, lo: int, hi: int) -> range:
         """The ids of the edges with lo <= t <= hi."""
@@ -247,7 +271,8 @@ def parse_edge_list(stream: Iterable[str]) -> TemporalGraph:
 
     Lines starting with '#' or '%' and blank lines are skipped; fields past
     the third are ignored. Raises ParseError with the line number for a
-    malformed line, EmptyGraphError when nothing usable remains. The triples
+    malformed line or a value outside the signed 64-bit range (ids are
+    non-negative), EmptyGraphError when nothing usable remains. The triples
     stream into from_triples, so no list of them is built.
     """
     return TemporalGraph.from_triples(_triples(stream))
@@ -264,8 +289,9 @@ def _triples(stream: Iterable[str]) -> Iterator[tuple[int, int, int]]:
             u, v, t = int(fields[0]), int(fields[1]), int(fields[2])
         except ValueError:
             raise ParseError(line_no, f"non-integer field in {fields[:3]!r}") from None
-        if u < 0 or v < 0:
-            raise ParseError(line_no, "negative vertex id")
+        if not (0 <= u < 1 << 63 and 0 <= v < 1 << 63 and -(1 << 63) <= t < 1 << 63):
+            raise ParseError(line_no, "negative vertex id" if u < 0 or v < 0
+                             else "value outside the signed 64-bit range")
         yield u, v, t
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import random
 import tracemalloc
@@ -64,6 +65,20 @@ class TestParse:
     def test_reversed_and_repeated_triples_collapse(self):
         g = graph_of("1 2 5\n2 1 5\n1 2 5\n")
         assert g.m == 1
+
+    def test_values_outside_64_bits(self):
+        # ids and timestamps are read into signed 64-bit columns; the
+        # extremes themselves are accepted
+        with pytest.raises(ParseError, match="line 2: value outside the signed 64-bit"):
+            graph_of("1 2 3\n1 99999999999999999999 4\n")
+        for t in (1 << 63, -(1 << 63) - 1):
+            with pytest.raises(ParseError, match="line 1: value outside"):
+                graph_of(f"1 2 {t}\n")
+        g = graph_of(f"{(1 << 63) - 1} 0 {-(1 << 63)}\n")
+        assert (g.labels, g.time_domain.raw_values) == ([0, (1 << 63) - 1], (-(1 << 63),))
+        for triple in ((1, 1 << 63, 4), (-(1 << 63) - 1, 2, 4), (1, 2, 1 << 63)):
+            with pytest.raises(ValueError, match="outside the signed 64-bit range"):
+                TemporalGraph.from_triples([(0, 1, 2), triple])
 
     def test_original_labels_survive(self):
         # dense ids follow the original ids' order, so u < v exactly when
@@ -226,20 +241,78 @@ def test_coreness_is_the_largest_core_holding_the_vertex(triples, data):
     assert static_coreness(g, (lo, hi)) == want
 
 
-def test_graph_memory_per_edge():
-    # the columns share one int object per vertex id and per rank; one
-    # TemporalEdge and two adjacency tuples per edge held about 350 bytes
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 6), st.integers(-3, 6),
+                          st.sampled_from([-(1 << 63), -40, -1, 0, 3, 7, (1 << 63) - 1])),
+                min_size=1, max_size=40))
+def test_from_triples_matches_a_tuple_build(triples):
+    # the load sorts one int key per edge; self-loops, duplicates, reversed
+    # pairs, negative ids and timestamps and the 64-bit extremes must give
+    # what sorting the set of canonical (t, lo, hi) tuples gives
+    want = sorted({(t, min(u, v), max(u, v)) for u, v, t in triples if u != v})
+    g = build(triples)
+    if g is None:
+        assert not want
+        return
+    assert g.labels == sorted({x for _, u, v in want for x in (u, v)})
+    assert g.time_domain.raw_values == tuple(sorted({t for t, _, _ in want}))
+    raw = g.time_domain.raw
+    assert [(raw(t), g.labels[u], g.labels[v]) for u, v, t in g.edges] == want
+
+
+@pytest.fixture(scope="module")
+def burst_12k_triples():
     g = burst_graph(5, timestamps=2000, clique=10, target_edges=12000)
     raw = g.time_domain.raw
-    triples = [(g.labels[u], g.labels[v], raw(t)) for u, v, t in g.edges]
+    return [(g.labels[u], g.labels[v], raw(t)) for u, v, t in g.edges]
+
+
+def test_graph_memory_per_edge(burst_12k_triples):
+    # the columns share one int object per vertex id and per rank; one
+    # TemporalEdge and two adjacency tuples per edge held about 350 bytes
+    triples = burst_12k_triples
     tracemalloc.start()
     try:
         built = TemporalGraph.from_triples(triples)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert built.m == g.m == 12000
+    assert built.m == 12000
     assert held < 200 * built.m, (held, built.m)
+
+
+def test_parse_peak_memory(burst_12k_triples):
+    # the load keeps no object per edge before the final columns; a key
+    # tuple per edge peaked at 1.71 times what the graph holds
+    lines = [f"{u} {v} {t}\n" for u, v, t in burst_12k_triples]
+    tracemalloc.start()
+    try:
+        g = parse_edge_list(lines)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.m == 12000
+    assert peak < 1.4 * held, (peak, held)
+
+
+def test_parse_makes_no_full_collection(burst_12k_triples):
+    # ints are not tracked by the collector, and the load makes no tracked
+    # object per edge, so it starts almost no collection
+    lines = [f"{u} {v} {t}\n" for u, v, t in burst_12k_triples]
+    started = [0, 0, 0]
+
+    def count(phase, info):
+        if phase == "start":
+            started[info["generation"]] += 1
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        g = parse_edge_list(lines)
+    finally:
+        gc.callbacks.remove(count)
+    assert g.m == 12000
+    assert started[2] == 0 and sum(started) < 5, started
 
 
 class TestAdjacencyOrder:

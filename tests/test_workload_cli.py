@@ -277,6 +277,15 @@ class TestCliStats:
         assert main(["stats", "--input", str(path)]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_value_outside_64_bits_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "wide.txt"
+        path.write_text("1 2 3\n1 99999999999999999999 4\n")
+        assert main(["stats", "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"tempcore: error: {path}: line 2: "
+                                "value outside the signed 64-bit range\n")
+
 
 class TestCliQuery:
     def test_count_mode_line(self, g14_file, capsys):
