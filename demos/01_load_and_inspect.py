@@ -22,7 +22,7 @@ print(f"vertices={st.n} edges={st.m} distinct timestamps={st.t_max}")
 print(f"average degree={float(st.deg_avg):.3f} maximum coreness={st.k_max}")
 
 # edge ids: the edges of one time are a range of ids
-print(f"\nvertex labels by dense id: {g.labels}")
+print(f"\nvertex labels by dense id: {list(g.labels)}")
 print("edges at t=5:")
 for i in g.ids_in(5, 5):
     e = g.edges[i]

@@ -20,7 +20,8 @@ max(earliest connecting timestamp, neighbour core time). True core times are
 the least fixpoint of that rule, and iterating it upward from the previous
 start time's values (which are valid lower bounds) converges exactly there,
 so only vertices reachable from expired edges are ever touched. A repair
-bisects its vertex's adjacency afresh, keeping no state but the core times.
+reads its vertex's adjacency from the start time, found by bisection, to
+the span end, which the first peel's hi_pos holds.
 
 The pruned push: a neighbour y reads x only through its term
 max(t_xy, ct[x]), and raising one term of a multiset moves its k-th
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
+from itertools import chain, repeat
 
 from .graph import TemporalGraph, WindowPeel, check_deadline, counting_offsets
 
@@ -101,16 +103,20 @@ def build_core_times(g: TemporalGraph, k: int, span: tuple[int, int],
     edge_u, edge_v, t_off = g.edge_u, g.edge_v, g.t_off
 
     check_deadline(deadline, "core times at start", ts_lo)
-    ct = _initial_core_times(g, k, span, deadline)
-    # one (vertex, start, end) entry per run, in start order; no object per
-    # run or per vertex, so the build leaves the collector nothing to walk
-    run_v, run_start, run_end = array("i"), array("i"), array("i")
-    add_v, add_start, add_end = run_v.append, run_start.append, run_end.append
+    ct, span_end = _initial_core_times(g, k, span, deadline)
+    # one (vertex, end) entry per run, in start order, and a run count per
+    # start time; no object per run or per vertex, so the build leaves the
+    # collector nothing to walk
+    run_v, run_end, per_start = array("i"), array("i"), array("i")
+    add_v, add_end = run_v.append, run_end.append
     for v, c in enumerate(ct):
         if c != never:
             add_v(v)
-            add_start(ts_lo)
             add_end(c)
+    per_start.append(len(run_v))
+    # marked flags the vertices in changed, those changed at the current
+    # start time, so that each is listed once
+    marked = bytearray(n)
 
     for ts in range(ts_lo + 1, ts_hi + 1):
         check_deadline(deadline, "core times at start", ts)
@@ -118,31 +124,36 @@ def build_core_times(g: TemporalGraph, k: int, span: tuple[int, int],
         # and adding one already there leaves it where it is
         pending = dict.fromkeys(x for i in range(t_off[ts - 1], t_off[ts])
                                 for x in (edge_u[i], edge_v[i]) if ct[x] != never)
-        changed: set[int] = set()
+        changed = []
         while pending:
             x = pending.popitem()[0]
             old = ct[x]
-            hi = bisect_left(adj_t, ts_hi + 1, off[x], off[x + 1])
-            new, first = _local_core_time(adj_t, adj_y, off[x], hi, ts, k, ct, never)
+            new, first = _local_core_time(adj_t, adj_y, off[x], span_end[x],
+                                          ts, k, ct, never)
             if new > old:
                 ct[x] = new
-                changed.add(x)
+                if not marked[x]:
+                    marked[x] = 1
+                    changed.append(x)
                 for y, t in first.items():
                     # never, the largest value, fails the upper bound, so
                     # no check for neighbours already out of every core
                     if (t if t > old else old) <= ct[y] < (t if t > new else new):
                         pending[y] = None
         for x in changed:
+            marked[x] = 0
             add_v(x)
-            add_start(ts)
             add_end(ct[x])
+        per_start.append(len(changed))
+    del ct, span_end, marked
 
     # stable counting sort of the runs by vertex; cursor[v] is where v's
-    # next run goes
+    # next run goes, and each run's start is repeated from the counts
     offsets = counting_offsets(run_v, n)
     cursor = offsets[:-1]
     starts = array("i", bytes(4 * len(run_v)))
     ends = array("i", bytes(4 * len(run_v)))
+    run_start = chain.from_iterable(map(repeat, range(ts_lo, ts_hi + 1), per_start))
     for v, s, e in zip(run_v, run_start, run_end):
         i = cursor[v]
         starts[i] = s
@@ -172,13 +183,14 @@ def _local_core_time(adj_t: list[int], adj_y: list[int], lo: int, hi: int,
 
 
 def _initial_core_times(g: TemporalGraph, k: int, span: tuple[int, int],
-                        deadline: float | None) -> list[int]:
+                        deadline: float | None) -> tuple[list[int], array]:
     """Exact core times for the span's first start time, span end + 1 for
-    never.
+    never, and the peel's hi_pos.
 
     Shrinks the window from the right; a vertex peeled while dropping the
     edges of end time te was last in a core at te. The deadline is checked
-    once per end time.
+    once per end time. hi_pos[x] is where x's entries past the span end
+    begin, for each x of the span's k-core, the only vertices repaired.
     """
     ts_lo, ts_hi = span
     peel = WindowPeel(g, k, ts_lo, ts_hi)
@@ -189,4 +201,4 @@ def _initial_core_times(g: TemporalGraph, k: int, span: tuple[int, int],
             break
         for w in peel.drop(te):
             ct[w] = te
-    return ct
+    return ct, peel.hi_pos

@@ -14,15 +14,15 @@ edge_u, edge_v and edge_t are the edges' columns. Adjacency is CSR: vertex
 x's incident (t, neighbour) pairs are adj_t[i], adj_y[i] for i in
 adj_off[x]:adj_off[x + 1], sorted by (t, neighbour). The columns are lists
 whose entries share one int object per vertex id and per rank, so the hot
-loops read them without making ints; the offsets are 32-bit arrays. The
-100k-edge burst graph of acceptance criterion 8 holds 11.1 MiB parsed
-(tracemalloc); less its 2.3 MiB of label and raw timestamp ints, 8.8 MiB
-against 29.6 MiB for a TemporalEdge and two adjacency tuples per edge. Its
-parse peaks at 12.5 MiB and starts no collection, against 21.8 MiB and 142
-collections for a (t, u, v) key tuple per edge. edges makes TemporalEdges
-on access. WindowPeel keeps flat columns too: its peel of that graph's
-whole range with k=2, drops included, peaks at 1.8 MiB, against 18.9 MiB
-with a dict of neighbours per vertex.
+loops read them without making ints; the offsets are 32-bit arrays, and
+labels and the sorted raw timestamps 64-bit ones. The 100k-edge burst graph
+of acceptance criterion 8 holds 8.2 MiB parsed (tracemalloc), against 11.1
+MiB with an int per label and raw timestamp and 29.6 MiB for a TemporalEdge
+and two adjacency tuples per edge. Its parse peaks at 11.2 MiB and starts
+no collection, against 21.8 MiB and 142 collections for a (t, u, v) key
+tuple per edge. edges makes TemporalEdges on access. WindowPeel keeps flat
+columns too: its peel of that graph's whole range with k=2, drops included,
+peaks at 1.8 MiB, against 18.9 MiB with a dict of neighbours per vertex.
 """
 
 from __future__ import annotations
@@ -78,20 +78,21 @@ def canonical_edges(edges: Iterable[TemporalEdge]) -> tuple[TemporalEdge, ...]:
 
 @dataclass(frozen=True)
 class TimeDomain:
-    """Order-preserving bijection between raw timestamps and ranks 1..t_count."""
+    """Order-preserving bijection between raw timestamps and ranks 1..t_count;
+    raw_values is a sorted 64-bit array, which rank bisects."""
 
-    raw_values: tuple[int, ...]
-    rank_of_raw: dict[int, int]
+    raw_values: array
 
     @property
     def t_count(self) -> int:
         return len(self.raw_values)
 
     def rank(self, raw: int) -> int:
-        try:
-            return self.rank_of_raw[raw]
-        except KeyError:
-            raise ValueError(f"unknown raw timestamp {raw}") from None
+        values = self.raw_values
+        i = bisect_left(values, raw)
+        if i < len(values) and values[i] == raw:
+            return i + 1
+        raise ValueError(f"unknown raw timestamp {raw}")
 
     def raw(self, rank: int) -> int:
         if not 1 <= rank <= len(self.raw_values):
@@ -100,11 +101,15 @@ class TimeDomain:
 
 
 def compress_timestamps(raw_ts: Iterable[int]) -> TimeDomain:
-    """Assign ranks 1..t_count to the distinct values of a non-empty multiset."""
+    """Assign ranks 1..t_count to the distinct values of a non-empty multiset;
+    ValueError when it is empty or a value is outside the signed 64-bit range."""
     values = sorted(set(raw_ts))
     if not values:
         raise ValueError("cannot compress an empty timestamp multiset")
-    return TimeDomain(tuple(values), {raw: i for i, raw in enumerate(values, start=1)})
+    try:
+        return TimeDomain(array("q", values))
+    except OverflowError:
+        raise ValueError("value outside the signed 64-bit range") from None
 
 
 def counting_offsets(keys: Iterable[int], n: int) -> array:
@@ -121,7 +126,7 @@ class TemporalGraph:
 
     Attributes:
         n: vertex count (ids are 0..n-1).
-        labels: dense id -> original input id, ascending.
+        labels: dense id -> original input id, ascending, a 64-bit array.
         time_domain: raw <-> compressed timestamp mapping.
         edge_u, edge_v, edge_t: per edge id, its endpoints (u < v) and
             compressed time; ids are in (t, u, v) order.
@@ -134,13 +139,13 @@ class TemporalGraph:
     __slots__ = ("n", "labels", "time_domain", "edge_u", "edge_v", "edge_t",
                  "t_off", "adj_off", "adj_t", "adj_y")
 
-    def __init__(self, labels: list[int], time_domain: TimeDomain,
+    def __init__(self, labels: Iterable[int], time_domain: TimeDomain,
                  edge_u: list[int], edge_v: list[int], edge_t: list[int]) -> None:
         """Index edge columns already in (t, u, v) order, without duplicates."""
+        self.labels = labels = array("q", labels)
         n = len(labels)
         m = len(edge_u)
         self.n = n
-        self.labels = labels
         self.time_domain = time_domain
         self.edge_u = edge_u
         self.edge_v = edge_v
@@ -199,14 +204,21 @@ class TemporalGraph:
             raise ValueError("value outside the signed 64-bit range") from None
         if not ts:
             raise EmptyGraphError("no edges remain after normalization")
-        labels = sorted(set(los).union(his))
         domain = compress_timestamps(ts)
-        n = len(labels)
-        dense = dict(zip(labels, range(n)))
-        us = array("i", map(dense.__getitem__, los))
-        vs = array("i", map(dense.__getitem__, his))
-        rs = array("i", map(domain.rank_of_raw.__getitem__, ts))
-        del dense, los, his, ts, add_lo, add_hi, add_t
+        labels = sorted({*los, *his})
+        n, t_count = len(labels), domain.t_count
+        # one int per vertex id and per rank, shared by the columns, made
+        # before the keys so that freeing those returns whole arenas; the
+        # label and raw-time maps live only while they number the edges
+        ids = list(range(max(n, t_count + 1)))
+        number = dict(zip(labels, ids))
+        labels = array("q", labels)
+        us = array("i", map(number.__getitem__, los))
+        vs = array("i", map(number.__getitem__, his))
+        del number
+        rank = dict(zip(domain.raw_values, islice(ids, 1, None))).__getitem__
+        rs = array("i", map(rank, ts))
+        del rank, los, his, ts, add_lo, add_hi, add_t
         # rank*n*n + u*n + v sorts as (t, u, v) does, and the input's time
         # order makes the sort cheap; equal keys are duplicate triples
         nn = n * n
@@ -215,10 +227,8 @@ class TemporalGraph:
         del us, vs, rs
         keys.sort()
         keys = list(compress(keys, chain((True,), map(ne, islice(keys, 1, None), keys))))
-        # the lookups share one int per vertex id and per rank (the time
-        # domain's own); u is key // n % n, faster than key % (n*n) // n
-        ids, ranks = list(range(n)), [0, *domain.rank_of_raw.values()]
-        edge_t = list(map(ranks.__getitem__, map(floordiv, keys, repeat(nn))))
+        # u is key // n % n, faster than key % (n*n) // n
+        edge_t = list(map(ids.__getitem__, map(floordiv, keys, repeat(nn))))
         edge_u = list(map(ids.__getitem__,
                           map(mod, map(floordiv, keys, repeat(n)), repeat(n))))
         edge_v = list(map(ids.__getitem__, map(mod, keys, repeat(n))))

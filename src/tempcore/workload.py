@@ -202,13 +202,16 @@ def run_query(g: TemporalGraph, k: int, span: tuple[int, int], algo: str = "enum
         core_windows = build_core_windows(g, k, span, core_times,
                                           deadline=deadline)
         t2 = time.perf_counter()
+        # the windows hold all the sweep reads, so the core times go first
+        core_times_size = core_times.size
+        del core_times
         if algo == "enum":
             node_ops = enumerate_cores(core_windows, span, sink,
                                        deadline=deadline).node_ops
         else:
             scanned = enumerate_cores_baseline(core_windows, span, sink,
                                                deadline=deadline).windows_scanned
-        core_times_size, windows_size = core_times.size, core_windows.size
+        windows_size = core_windows.size
     t3 = time.perf_counter()
     report = RunReport(algo, k, ts_lo, ts_hi, sink.cores, sink.result_size,
                        core_times_size, windows_size, node_ops, scanned,
