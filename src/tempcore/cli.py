@@ -20,12 +20,11 @@ import time
 from contextlib import nullcontext
 
 from .graph import (BudgetExceeded, EmptyGraphError, ParseError, TemporalGraph,
-                    parse_edge_list, stats)
+                    check_query, parse_edge_list, stats)
 from .verify import run_verification
 # format_record is unused here; perfbench's traced pass wraps cli.format_record
 from .workload import (ALGORITHMS, MODES, RunReport, WorkloadError, format_record,
-                       gen_queries, place_span, resolve_k, resolve_width, run_query,
-                       validate_query)
+                       gen_queries, place_span, resolve_k, resolve_width, run_query)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,7 +98,7 @@ def _cmd_query(args) -> int:
     k = _resolve_k(g, args)
     span = _resolve_span(g, k, args)
     # --out is opened only once the query is known to be valid
-    validate_query(g, k, span, args.algo, args.mode)
+    check_query(g, k, span)
     deadline = time.perf_counter() + args.budget if args.budget else None
     with _open_out(args.out) as out:
         _, report = run_query(g, k, span, args.algo, args.mode, deadline=deadline,
@@ -274,7 +273,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except (ParseError, EmptyGraphError, WorkloadError, ValueError, OSError) as exc:
+    except (WorkloadError, ValueError, OSError) as exc:
         print(f"tempcore: error: {exc}", file=sys.stderr)
         return 1
     except BudgetExceeded as exc:

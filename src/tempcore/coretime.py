@@ -36,7 +36,8 @@ from array import array
 from bisect import bisect_left
 from itertools import chain, repeat
 
-from .graph import TemporalGraph, WindowPeel, check_deadline, counting_offsets
+from .graph import (TemporalGraph, WindowPeel, check_deadline, check_query,
+                    counting_offsets)
 
 Runs = tuple[tuple[int, int | None], ...]
 
@@ -92,11 +93,8 @@ def build_core_times(g: TemporalGraph, k: int, span: tuple[int, int],
     A deadline (a time.perf_counter value) is checked once per start time,
     and once per end time in the first start time's peel.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    check_query(g, k, span)
     ts_lo, ts_hi = span
-    if not 1 <= ts_lo <= ts_hi <= g.t_count:
-        raise ValueError(f"span [{ts_lo},{ts_hi}] outside 1..{g.t_count}")
     n = g.n
     never = ts_hi + 1
     off, adj_t, adj_y = g.adj_off, g.adj_t, g.adj_y

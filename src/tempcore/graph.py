@@ -65,6 +65,16 @@ def check_deadline(deadline: float | None, what: str, at: int) -> None:
         raise BudgetExceeded(f"deadline exceeded: {what} {at}")
 
 
+def check_query(g: TemporalGraph, k: int, span: tuple[int, int]) -> None:
+    """Raise ValueError unless k is at least 1 and the span (lo, hi) lies
+    in 1..t_count with lo <= hi: the one statement of a valid query."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    lo, hi = span
+    if not 1 <= lo <= hi <= g.t_count:
+        raise ValueError(f"span [{lo},{hi}] outside 1..{g.t_count}")
+
+
 class TemporalEdge(NamedTuple):
     u: int
     v: int
@@ -404,9 +414,9 @@ def static_coreness(g: TemporalGraph, window: tuple[int, int]) -> list[int]:
     higher-degree neighbour down one bin in O(1). Vertices without window
     edges get 0.
     """
+    # a window is valid exactly when it is a valid span for k = 1
+    check_query(g, 1, window)
     lo, hi = window
-    if not 1 <= lo <= hi <= g.t_count:
-        raise ValueError(f"window [{lo},{hi}] outside 1..{g.t_count}")
     n, off, adj_t, adj_y = g.n, g.adj_off, g.adj_t, g.adj_y
     if (lo, hi) == (1, g.t_count):
         # per-vertex bisects would add 32 ms to stats' 57 ms burst-graph peel

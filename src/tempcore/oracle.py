@@ -22,7 +22,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .graph import (TemporalEdge, TemporalGraph, WindowPeel, canonical_edges,
-                    check_deadline)
+                    check_deadline, check_query)
 
 
 @dataclass(frozen=True)
@@ -44,11 +44,8 @@ def temporal_kcore(g: TemporalGraph, k: int, window: tuple[int, int]) -> CoreSub
     The tightest time interval is taken over the surviving edges, so it may
     be narrower than the window itself.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    check_query(g, k, window)
     lo, hi = window
-    if not 1 <= lo <= hi <= g.t_count:
-        raise ValueError(f"window [{lo},{hi}] outside 1..{g.t_count}")
     nbrs: dict[int, set[int]] = {}
     for u, v, _ in g.edges_in(lo, hi):
         nbrs.setdefault(u, set()).add(v)
@@ -89,20 +86,15 @@ def brute_enumerate(g: TemporalGraph, k: int, span: tuple[int, int],
     Cores are identified by their edge sets; each is returned once, sorted
     by tightest interval. Raises BudgetExceeded past the given deadline.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    check_query(g, k, span)
     ts_lo, ts_hi = span
-    if not 1 <= ts_lo <= ts_hi <= g.t_count:
-        raise ValueError(f"span [{ts_lo},{ts_hi}] outside 1..{g.t_count}")
     seen: set[frozenset] = set()
     out: list[CoreSubgraph] = []
-    scanned = 0
     off, adj_t, adj_y, t_off = g.adj_off, g.adj_t, g.adj_y, g.t_off
     # one TemporalEdge per span edge, shared by every core that holds it
     first = t_off[ts_lo]
     span_edges = list(map(TemporalEdge._make, g.edges_in(ts_lo, ts_hi)))
     for ts in range(ts_lo, ts_hi + 1):
-        scanned += ts_hi - ts + 1
         check_deadline(deadline, "brute scan at start", ts)
         peel = WindowPeel(g, k, ts, ts_hi)
         if not peel.size:
@@ -130,13 +122,15 @@ def brute_enumerate(g: TemporalGraph, k: int, span: tuple[int, int],
                     live_edges.discard(e)
                     changed = True
             for w in peel.drop(te):
-                i = bisect_left(adj_t, ts, off[w], off[w + 1])
+                # w was a member of the peel, which holds where its window starts
+                i = peel.lo_pos[w]
                 j = bisect_left(adj_t, te, i, off[w + 1])
                 for t2, x in zip(adj_t[i:j], adj_y[i:j]):
                     live_edges.discard(
                         TemporalEdge(w, x, t2) if w < x else TemporalEdge(x, w, t2))
     out.sort(key=lambda c: c.tti)
-    return BruteEnumeration(tuple(out), scanned)
+    width = ts_hi - ts_lo + 1  # every (ts, te) pair of the span is scanned
+    return BruteEnumeration(tuple(out), width * (width + 1) // 2)
 
 
 def brute_core_times(g: TemporalGraph, k: int, span: tuple[int, int], cores=None

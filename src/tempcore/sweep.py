@@ -112,7 +112,7 @@ class RecordSink(ResultSink):
 
     def __init__(self, mode: str, value=None) -> None:
         if mode not in ("sizes", "delta", "full"):
-            raise ValueError(f"unknown sink mode {mode!r}")
+            raise ValueError(f"unknown mode {mode!r}")
         super().__init__()
         self.mode = mode
         self.reads_edges = mode != "sizes"

@@ -150,20 +150,6 @@ def _peak_rss_kb() -> int:
     return peak // 1024 if sys.platform == "darwin" else peak
 
 
-def validate_query(g: TemporalGraph, k: int, span: tuple[int, int],
-                   algo: str, mode: str) -> None:
-    """Raise ValueError unless run_query accepts these arguments."""
-    if algo not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algo!r}")
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    ts_lo, ts_hi = span
-    if not 1 <= ts_lo <= ts_hi <= g.t_count:
-        raise ValueError(f"span [{ts_lo},{ts_hi}] outside 1..{g.t_count}")
-
-
 def run_query(g: TemporalGraph, k: int, span: tuple[int, int], algo: str = "enum",
               mode: str = "count", deadline: float | None = None,
               out: TextIO | None = None) -> tuple[list[CoreResult], RunReport]:
@@ -173,9 +159,11 @@ def run_query(g: TemporalGraph, k: int, span: tuple[int, int], algo: str = "enum
     out, the other modes write each core's format_record line to it as the
     core is emitted and return no records. Past the deadline (a
     time.perf_counter value) every algorithm raises BudgetExceeded, leaving
-    out with the lines written so far.
+    out with the lines written so far. A bad algorithm, mode, k or span
+    raises ValueError before anything is written.
     """
-    validate_query(g, k, span, algo, mode)
+    if algo not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algo!r}")
     ts_lo, ts_hi = span
     sink = StreamSink(g, mode, out) if out is not None and mode != "count" \
         else make_sink(mode)

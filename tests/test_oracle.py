@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import random
+import re
 
 import pytest
 
@@ -54,9 +55,10 @@ class TestTemporalKCore:
             brute_enumerate(g14, 0, (1, 7))
         # and a window or span outside the domain
         for window in ((0, 7), (1, 8), (5, 4)):
-            with pytest.raises(ValueError, match="outside 1..7"):
+            message = re.escape(f"span [{window[0]},{window[1]}] outside 1..7")
+            with pytest.raises(ValueError, match=message):
                 temporal_kcore(g14, 2, window)
-            with pytest.raises(ValueError, match="outside 1..7"):
+            with pytest.raises(ValueError, match=message):
                 brute_enumerate(g14, 2, window)
 
     def test_monotone_in_window(self):

@@ -244,6 +244,8 @@ class TestRunQuery:
         with pytest.raises(ValueError):
             run_query(g14, 2, (1, 9))
         with pytest.raises(ValueError):
+            run_query(g14, 2, (5, 4))
+        with pytest.raises(ValueError):
             run_query(g14, 2, (1, 7), algo="magic")
         with pytest.raises(ValueError, match="unknown mode 'loud'"):
             run_query(g14, 2, (1, 7), mode="loud")
