@@ -33,5 +33,5 @@ for span in ((1, 4), (1, 7)):
     brute = brute_enumerate(g, 2, span)
     agree = ({r.edges for r in sink.records}
              == {r.edges for r in base.records}
-             == {c.edges for c in brute.cores})
+             == {c.edges for c in brute})
     print(f"  sweep = baseline = exhaustive scan: {agree}\n")

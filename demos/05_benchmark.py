@@ -42,7 +42,7 @@ for _ in range(3):
     t3 = time.perf_counter()
     brute = brute_enumerate(g, k, span)
     scan_times.append(time.perf_counter() - t3)
-    assert len(brute.cores) == cores
+    assert len(brute) == cores
 
 sweep = statistics.median(sweep_times)
 prep = statistics.median(prep_times)

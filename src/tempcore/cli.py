@@ -23,8 +23,9 @@ from .graph import (BudgetExceeded, EmptyGraphError, ParseError, TemporalGraph,
                     check_query, parse_edge_list, stats)
 from .verify import run_verification
 # format_record is unused here; perfbench's traced pass wraps cli.format_record
-from .workload import (ALGORITHMS, MODES, RunReport, WorkloadError, format_record,
-                       gen_queries, place_span, resolve_k, resolve_width, run_query)
+from .workload import (ALGORITHMS, MODES, RunReport, WorkloadError, check_algorithm,
+                       format_record, gen_queries, place_span, resolve_k,
+                       resolve_width, run_query)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,6 +42,9 @@ def _load(path: str) -> TemporalGraph:
             return parse_edge_list(fh)
         except (ParseError, EmptyGraphError) as exc:
             raise ValueError(f"{path}: {exc}") from None
+        except UnicodeDecodeError:
+            # its position counts from the start of a decode chunk, not the file
+            raise ValueError(f"{path}: not UTF-8 text") from None
 
 
 def _int_list(text: str) -> list[int]:
@@ -150,8 +154,7 @@ def _cmd_bench(args) -> int:
     if not (algos and args.k_pcts and args.t_pcts):
         raise ValueError("--algos, --k-pcts and --t-pcts must each name at least one")
     for a in algos:
-        if a not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {a!r}")
+        check_algorithm(a)
     # a percentage outside (0, 100] fails here, before the header is printed
     ks = [(k_pct, resolve_k(k_pct, st.k_max)) for k_pct in args.k_pcts]
     widths = [(t_pct, resolve_width(t_pct, g.t_count)) for t_pct in args.t_pcts]

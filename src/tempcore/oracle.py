@@ -73,14 +73,8 @@ def window_cores(g: TemporalGraph, k: int,
             for a in range(ts_lo, ts_hi + 1) for b in range(a, ts_hi + 1)}
 
 
-@dataclass(frozen=True)
-class BruteEnumeration:
-    cores: tuple[CoreSubgraph, ...]
-    windows_scanned: int
-
-
 def brute_enumerate(g: TemporalGraph, k: int, span: tuple[int, int],
-                    deadline: float | None = None) -> BruteEnumeration:
+                    deadline: float | None = None) -> tuple[CoreSubgraph, ...]:
     """Every distinct k-core over every window of the span, by scanning.
 
     Cores are identified by their edge sets; each is returned once, sorted
@@ -129,8 +123,7 @@ def brute_enumerate(g: TemporalGraph, k: int, span: tuple[int, int],
                     live_edges.discard(
                         TemporalEdge(w, x, t2) if w < x else TemporalEdge(x, w, t2))
     out.sort(key=lambda c: c.tti)
-    width = ts_hi - ts_lo + 1  # every (ts, te) pair of the span is scanned
-    return BruteEnumeration(tuple(out), width * (width + 1) // 2)
+    return tuple(out)
 
 
 def brute_core_times(g: TemporalGraph, k: int, span: tuple[int, int], cores=None

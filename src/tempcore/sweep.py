@@ -32,8 +32,9 @@ emits it only at scan a, so it needs no table of cores seen and emits in
 (ts, te) order.
 
 Both bind the sink to index.g.edges, then hand it each core as (ts,
-te, accumulated ids, prev_len); each reports as its cores and result_size
-how far the sink's counts rose. A sink whose reads_edges is false, as in
+te, accumulated ids, prev_len), and the sink's counts are the answer;
+enumerate_cores also returns how far they rose, with the work and memory
+figures only it measures. A sink whose reads_edges is false, as in
 count and sizes mode, reads only len(acc), so enumerate_cores sums group
 counts instead and hands it range(size), a sized stand-in holding no ids.
 A ResultSink counts; a RecordSink reports no edges (sizes), the core's new
@@ -268,16 +269,9 @@ def enumerate_cores(index: CoreWindowIndex, span: tuple[int, int],
                       peak_live, peak_state)
 
 
-@dataclass(frozen=True)
-class BaselineStats:
-    cores: int
-    windows_scanned: int
-    result_size: int
-
-
 def enumerate_cores_baseline(index: CoreWindowIndex, span: tuple[int, int],
                              sink: ResultSink,
-                             deadline: float | None = None) -> BaselineStats:
+                             deadline: float | None = None) -> None:
     """Bucket-and-scan every window of the span, emitting each distinct core
     once, at the scan of its tightest start time."""
     ts_lo, ts_hi = span
@@ -288,7 +282,6 @@ def enumerate_cores_baseline(index: CoreWindowIndex, span: tuple[int, int],
     runs = [(e, bisect_left(edge, e), bisect_right(edge, e))
             for e in dict.fromkeys(edge)]
     sink.bind(index.g.edges)
-    cores0, size0 = sink.cores, sink.result_size
     for ts in range(ts_lo, ts_hi + 1):
         check_deadline(deadline, "baseline scan at start", ts)
         buckets: dict[int, list[int]] = {}
@@ -311,5 +304,3 @@ def enumerate_cores_baseline(index: CoreWindowIndex, span: tuple[int, int],
                 continue
             sink.emit(ts, t_max, acc, prev_len)
             prev_len = len(acc)
-    w = ts_hi - ts_lo + 1  # every (ts, te) pair of the span is scanned
-    return BaselineStats(sink.cores - cores0, w * (w + 1) // 2, sink.result_size - size0)

@@ -73,11 +73,10 @@ def check_instance(g: TemporalGraph, k: int, span: tuple[int, int]) -> list[str]
     sized_stats = enumerate_cores(core_windows, span, sized_sink)
     base_sink = FullSink()
     enumerate_cores_baseline(core_windows, span, base_sink)
-    brute = brute_enumerate(g, k, span)
 
     sweep_map = core_map(sweep_sink.records)
     base_map = core_map(base_sink.records)
-    brute_map = {c.edges: c.tti for c in brute.cores}
+    brute_map = {c.edges: c.tti for c in brute_enumerate(g, k, span)}
     if len(sweep_map) != len(sweep_sink.records):
         problems.append(f"sweep emitted a duplicate core ({where})")
     if sweep_map != brute_map:

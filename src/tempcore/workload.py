@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import TextIO
 
 from .coretime import build_core_times
-from .graph import TemporalGraph, WindowPeel, canonical_edges, stats
+from .graph import TemporalGraph, WindowPeel, canonical_edges, check_query, stats
 from .oracle import brute_enumerate
 from .sweep import (CoreResult, RecordSink, enumerate_cores,
                     enumerate_cores_baseline, make_sink)
@@ -27,6 +27,12 @@ MAX_ATTEMPTS = 200
 
 class WorkloadError(RuntimeError):
     """A workload could not be generated as requested."""
+
+
+def check_algorithm(algo: str) -> None:
+    """Raise ValueError unless algo names one of ALGORITHMS."""
+    if algo not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algo!r}")
 
 
 def resolve_k(pct: int, k_max: int) -> int:
@@ -60,13 +66,10 @@ def place_span(g: TemporalGraph, k: int, width: int,
     WindowPeel, is non-empty; a k-core only grows with its window, so that
     is exactly when some sub-window holds one, and a start drawn again after
     its rejection is rejected without a second peel. Returns the span and the
-    number of rejected draws; raises ValueError for k < 1 or a width
-    outside 1..t_count, and WorkloadError when MAX_ATTEMPTS draws all fail.
+    number of rejected draws; raises ValueError unless (k, [1, width]) is a
+    valid query, and WorkloadError when MAX_ATTEMPTS draws all fail.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if not 1 <= width <= g.t_count:
-        raise ValueError(f"width {width} outside 1..{g.t_count}")
+    check_query(g, k, (1, width))
     rejected: set[int] = set()
     for attempt in range(MAX_ATTEMPTS):
         ts0 = rng.randint(1, g.t_count - width + 1)
@@ -162,21 +165,19 @@ def run_query(g: TemporalGraph, k: int, span: tuple[int, int], algo: str = "enum
     out with the lines written so far. A bad algorithm, mode, k or span
     raises ValueError before anything is written.
     """
-    if algo not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algo!r}")
+    check_algorithm(algo)
     ts_lo, ts_hi = span
     sink = StreamSink(g, mode, out) if out is not None and mode != "count" \
         else make_sink(mode)
-    core_times_size = windows_size = node_ops = scanned = 0
+    core_times_size = windows_size = node_ops = 0
     t0 = t1 = t2 = time.perf_counter()
     if algo == "brute":
-        result = brute_enumerate(g, k, span, deadline=deadline)
-        scanned = result.windows_scanned
+        cores = brute_enumerate(g, k, span, deadline=deadline)
         # the cores come TTI-sorted and those of one start time are nested,
         # so each looks up and accumulates the ids of only its new edges
         sink.bind(g.edges)
         acc, members, acc_ts = [], set(), None
-        for core in result.cores:
+        for core in cores:
             if core.tti[0] != acc_ts:
                 acc, members, acc_ts = [], set(), core.tti[0]
             prev_len = len(acc)
@@ -197,10 +198,12 @@ def run_query(g: TemporalGraph, k: int, span: tuple[int, int], algo: str = "enum
             node_ops = enumerate_cores(core_windows, span, sink,
                                        deadline=deadline).node_ops
         else:
-            scanned = enumerate_cores_baseline(core_windows, span, sink,
-                                               deadline=deadline).windows_scanned
+            enumerate_cores_baseline(core_windows, span, sink, deadline=deadline)
         windows_size = core_windows.size
     t3 = time.perf_counter()
+    # the baseline and the brute scan visit every (ts, te) pair of the span
+    w = ts_hi - ts_lo + 1
+    scanned = 0 if algo == "enum" else w * (w + 1) // 2
     report = RunReport(algo, k, ts_lo, ts_hi, sink.cores, sink.result_size,
                        core_times_size, windows_size, node_ops, scanned,
                        t1 - t0, t2 - t1, t3 - t2, _peak_rss_kb())

@@ -76,7 +76,7 @@ def fuzz_corpus():
         span = (1, g.t_count)
         for k in FUZZ_KS:
             brute = brute_enumerate(g, k, span)
-            brute_map = {c.edges: c.tti for c in brute.cores}
+            brute_map = {c.edges: c.tti for c in brute}
             core_times = build_core_times(g, k, span)
             core_windows = build_core_windows(g, k, span, core_times)
             full = FullSink()
@@ -102,7 +102,7 @@ def fuzz_corpus():
                 dup_free=dup_free, nested=nested,
                 node_ops=sweep_stats.node_ops, windows_size=core_windows.size,
                 result_size=sweep_stats.result_size,
-                max_core=max((c.size for c in brute.cores), default=0),
+                max_core=max((c.size for c in brute), default=0),
                 peak_live=count_stats.peak_live,
                 peak_state=count_stats.peak_state))
     elapsed = time.perf_counter() - started
@@ -156,7 +156,7 @@ def test_criterion_3_two_core_reproduction(g14):
                 g14, {v for e in r.edges for v in (e.u, e.v)})
             for r in sink.records}
     outcomes["brute"] = {c.tti: label_vertices(g14, c.vertices)
-                         for c in brute_enumerate(g14, 2, span).cores}
+                         for c in brute_enumerate(g14, 2, span)}
     ok = all(result == GOLDEN_14_CORES for result in outcomes.values())
     _report(3, "restricted range yields exactly the triangle and the "
                "six-edge core under all three algorithms", ok,
@@ -166,7 +166,7 @@ def test_criterion_3_two_core_reproduction(g14):
 def test_criterion_4_full_range_enumeration(g14):
     span = (1, 7)
     brute = brute_enumerate(g14, 2, span)
-    brute_summary = {c.tti: c.size for c in brute.cores}
+    brute_summary = {c.tti: c.size for c in brute}
     core_times = build_core_times(g14, 2, span)
     core_windows = build_core_windows(g14, 2, span, core_times)
     sink = FullSink()
@@ -175,7 +175,7 @@ def test_criterion_4_full_range_enumeration(g14):
     ok = (brute_summary == GOLDEN_FULL_CORES              # golden re-confirmed
           and sum(brute_summary.values()) == 105
           and sweep_summary == brute_summary
-          and {r.edges for r in sink.records} == {c.edges for c in brute.cores})
+          and {r.edges for r in sink.records} == {c.edges for c in brute})
     _report(4, "full range yields 13 cores with total size 105, "
                "oracle-confirmed", ok,
             f"cores={len(sweep_summary)} |R|={sum(sweep_summary.values())}")
@@ -259,7 +259,7 @@ def test_criterion_8_performance_smoke():
     t3 = time.perf_counter()
     brute = brute_enumerate(g, k, span)
     brute_elapsed = time.perf_counter() - t3
-    brute_map = {c.edges: c.tti for c in brute.cores}
+    brute_map = {c.edges: c.tti for c in brute}
 
     sweep_med = statistics.median(sweep_totals)
     prep_med = statistics.median(prep_totals)

@@ -9,8 +9,8 @@ import re
 import pytest
 
 import tempcore.oracle
-from tempcore import (brute_core_windows, brute_enumerate, temporal_kcore,
-                      window_cores)
+from tempcore import (brute_core_windows, brute_enumerate, run_query,
+                      temporal_kcore, window_cores)
 from tempcore.synth import random_graph
 
 from .conftest import GOLDEN_FULL_CORES, dense_edge, label_vertices
@@ -77,27 +77,26 @@ class TestTemporalKCore:
 
 class TestBruteEnumerate:
     def test_restricted_range(self, g14):
-        result = brute_enumerate(g14, 2, (1, 4))
-        assert len(result.cores) == 2
-        by_tti = {c.tti: c for c in result.cores}
+        cores = brute_enumerate(g14, 2, (1, 4))
+        assert len(cores) == 2
+        by_tti = {c.tti: c for c in cores}
         assert label_vertices(g14, by_tti[(2, 3)].vertices) == {1, 2, 4}
         assert by_tti[(2, 3)].size == 3
         assert label_vertices(g14, by_tti[(1, 4)].vertices) == {1, 2, 3, 4, 9}
         assert by_tti[(1, 4)].size == 6
 
     def test_full_range(self, g14):
-        result = brute_enumerate(g14, 2, (1, 7))
-        assert {c.tti: c.size for c in result.cores} == GOLDEN_FULL_CORES
-        assert sum(c.size for c in result.cores) == 105
-        assert result.windows_scanned == 28
+        cores = brute_enumerate(g14, 2, (1, 7))
+        assert {c.tti: c.size for c in cores} == GOLDEN_FULL_CORES
+        assert sum(c.size for c in cores) == 105
+        assert run_query(g14, 2, (1, 7), "brute")[1].windows_scanned == 28
 
     def test_no_3_core_anywhere(self, g14):
-        assert brute_enumerate(g14, 3, (1, 7)).cores == ()
+        assert brute_enumerate(g14, 3, (1, 7)) == ()
 
     def test_distinctness_and_tti_reproduction(self, g14):
-        result = brute_enumerate(g14, 2, (1, 7))
         seen = set()
-        for core in result.cores:
+        for core in brute_enumerate(g14, 2, (1, 7)):
             assert core.edges not in seen
             seen.add(core.edges)
             again = temporal_kcore(g14, 2, core.tti)
@@ -116,7 +115,7 @@ class TestBruteEnumerate:
             for window, core in window_cores(g, k, span).items():
                 if core is not None and core.edges not in expected:
                     expected[core.edges] = core.tti
-            got = {c.edges: c.tti for c in brute_enumerate(g, k, span).cores}
+            got = {c.edges: c.tti for c in brute_enumerate(g, k, span)}
             assert got == expected
 
 

@@ -11,7 +11,7 @@ import pytest
 from tempcore import (BudgetExceeded, CoreResult, FullSink, RecordSink, ResultSink,
                       TemporalEdge, TemporalGraph, brute_enumerate, build_core_times,
                       build_core_windows, canonical_edges, enumerate_cores,
-                      enumerate_cores_baseline, make_sink)
+                      enumerate_cores_baseline, make_sink, run_query)
 from tempcore.synth import burst_graph, random_edge_triples, random_graph
 
 from .conftest import (GOLDEN_14_CORES, GOLDEN_FULL_CORES, index_from_windows,
@@ -247,32 +247,31 @@ class TestBaseline:
     def test_restricted_range(self, g14):
         cwi = windows_index(g14, 2, (1, 4))
         sink = FullSink()
-        st = enumerate_cores_baseline(cwi, (1, 4), sink)
-        assert st.cores == 2
+        enumerate_cores_baseline(cwi, (1, 4), sink)
+        assert sink.cores == 2
         assert result_map(sink.records).keys() == \
-            {c.edges for c in brute_enumerate(g14, 2, (1, 4)).cores}
-        assert st.windows_scanned == 10
+            {c.edges for c in brute_enumerate(g14, 2, (1, 4))}
+        assert run_query(g14, 2, (1, 4), "enumbase")[1].windows_scanned == 10
 
     @pytest.mark.parametrize("span, scanned", [((3, 3), 1), ((1, 7), 28)])
     def test_every_window_of_the_span_is_scanned(self, g14, span, scanned):
-        # w·(w + 1)/2 (ts, te) pairs for a span of width w
-        cwi = windows_index(g14, 2, span)
-        st = enumerate_cores_baseline(cwi, span, ResultSink())
-        assert st.windows_scanned == scanned
+        # w·(w + 1)/2 (ts, te) pairs for a span of width w, by either scan
+        for algo in ("enumbase", "brute"):
+            assert run_query(g14, 2, span, algo)[1].windows_scanned == scanned, algo
 
     def test_empty_index(self, g14):
         cwi = windows_index(g14, 3, (1, 7))
         sink = FullSink()
-        st = enumerate_cores_baseline(cwi, (1, 7), sink)
-        assert st.cores == 0
+        enumerate_cores_baseline(cwi, (1, 7), sink)
+        assert sink.cores == 0
         assert sink.records == []
 
     def test_full_range_matches_golden(self, g14):
         cwi = windows_index(g14, 2, (1, 7))
         sink = FullSink()
-        st = enumerate_cores_baseline(cwi, (1, 7), sink)
-        assert st.cores == 13
-        assert st.result_size == 105
+        enumerate_cores_baseline(cwi, (1, 7), sink)
+        assert sink.cores == 13
+        assert sink.result_size == 105
         assert {(r.ts, r.te): r.size for r in sink.records} == GOLDEN_FULL_CORES
 
     def test_index_of_another_span_is_rejected(self, g14):
@@ -482,7 +481,7 @@ class TestAgreement:
             sweep_sink, base_sink = FullSink(), FullSink()
             enumerate_cores(cwi, (a, b), sweep_sink)
             enumerate_cores_baseline(cwi, (a, b), base_sink)
-            brute = {c.edges: c.tti for c in brute_enumerate(g, k, (a, b)).cores}
+            brute = {c.edges: c.tti for c in brute_enumerate(g, k, (a, b))}
             assert result_map(sweep_sink.records) == brute
             assert result_map(base_sink.records) == brute
 
@@ -502,6 +501,6 @@ class TestAgreement:
         for g, k, span in cases:
             sink = FullSink()
             st = enumerate_cores(windows_index(g, k, span), span, sink)
-            brute = brute_enumerate(g, k, span).cores
+            brute = brute_enumerate(g, k, span)
             assert st.cores == len(sink.records) == len(brute), (k, span)
             assert result_map(sink.records) == {c.edges: c.tti for c in brute}, (k, span)

@@ -98,7 +98,8 @@ class TestGenQueries:
             place_span(g14, 0, 3, random.Random(1))
         # as are a width outside 1..t_count, no query and no percentage
         for width in (0, 8):
-            with pytest.raises(ValueError, match=f"width {width} outside 1..7"):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"span [1,{width}] outside 1..7")):
                 place_span(g14, 2, width, random.Random(1))
         with pytest.raises(ValueError, match="count must be at least 1"):
             gen_queries(g14, [100], [100], 0, seed=1)
@@ -288,6 +289,18 @@ class TestCliStats:
         assert captured.err == (f"tempcore: error: {path}: line 2: "
                                 "value outside the signed 64-bit range\n")
 
+    def test_non_utf8_file_names_its_path(self, tmp_path, capsys):
+        # the bad byte lies past the first 8 KiB, so past the first chunk
+        # the decoder reads
+        text = b"1 2 3\n" * 2000
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(text + b"1 2 \xff4\n")
+        assert len(text) > 8192
+        assert main(["stats", "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"tempcore: error: {path}: not UTF-8 text\n"
+
 
 class TestCliQuery:
     def test_count_mode_line(self, g14_file, capsys):
@@ -304,6 +317,14 @@ class TestCliQuery:
         assert len(lines) == 2
         assert lines[0].startswith("tti_ts=1 tti_te=4 size=6 edges=[2,9,1]")
         assert lines[1].startswith("tti_ts=2 tti_te=3 size=3 edges=[1,4,2]")
+
+    @pytest.mark.parametrize("algo, scanned",
+                             [("enum", 0), ("enumbase", 28), ("brute", 28)])
+    def test_report_counts_scanned_windows(self, g14_file, capsys, algo, scanned):
+        # both scans visit all 7·8/2 windows of [1,7]; the sweep scans none
+        assert main(["query", "--input", g14_file, "--k", "2", "--ts", "1",
+                     "--te", "7", "--algo", algo]) == 0
+        assert f" windows_scanned={scanned} " in capsys.readouterr().err
 
     def test_brute_counts_match(self, g14_file, capsys):
         assert main(["query", "--input", g14_file, "--k", "2", "--ts", "1",
