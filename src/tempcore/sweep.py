@@ -4,20 +4,21 @@ Both read the window index's flat columns (edge id, start, end; 12 bytes
 per window, see windows) by window id and make no window objects, and both
 accumulate edge ids (enumerate_cores only for a sink that reads them).
 
-enumerate_cores walks start times once. The live minimal windows are held
-in groups keyed by end time, each group the set of ids of the edges whose
-live window ends there, or, for a sink that reads no ids, only their
-number; the window ids are bucketed by start time in 32-bit arrays. So a
-count-mode sweep holds no int object per window or per edge: on the
-100k-edge burst graph with k=2 over its whole range its own tracemalloc
-peak is 0.6 MiB, against 10.3 MiB with a set per group and a list per
-start time. The id-reading groups stay sets, as extending the
-accumulator by a set runs in C. At start time ts an edge's live window is
-its first window starting no earlier than ts: its first window is live
-from the span start, and when a window expires (ts passes its start) the
-edge's next window, the next window id, takes its place, so at any moment
-each edge contributes at most one window. For a start time at which some window
-actually starts, one scan emits every distinct core whose tightest
+enumerate_cores visits, in order, only the start times at which some
+window starts, as only those begin a core's tightest interval. The live
+minimal windows are held in groups keyed by end time, each group the set
+of ids of the edges whose live window ends there, or, for a sink that
+reads no ids, only their number; the window ids are bucketed by start
+time in 32-bit arrays. So a count-mode sweep holds no int object per
+window or per edge: on the 100k-edge burst graph with k=2 over its whole
+range its own tracemalloc peak is 0.6 MiB, against 10.3 MiB with a set
+per group and a list per start time. The id-reading groups stay sets, as
+extending the accumulator by a set runs in C. At start time ts an edge's
+live window is its first window starting no earlier than ts. Every window
+arrives once: each edge's first window before the first scan, each later
+one (the next window id of the same edge) as the sweep leaves its
+predecessor's start and expires it; so each edge has at most one live
+window. At each visited start time one scan emits every core whose tightest
 interval begins there: the groups are accumulated in end order, and each
 group from the smallest end of a window starting exactly there onward is
 one emission. Distinctness needs no bookkeeping because tightest intervals
@@ -55,6 +56,8 @@ from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, partial
+from itertools import chain, compress
+from operator import ne
 
 from .graph import TemporalEdge, check_deadline
 from .windows import CoreWindowIndex
@@ -173,19 +176,22 @@ class SweepStats:
 def enumerate_cores(index: CoreWindowIndex, span: tuple[int, int],
                     sink: ResultSink,
                     deadline: float | None = None) -> SweepStats:
-    """Sweep all start times of the span, emitting each distinct core once.
+    """Sweep the start times at which windows start, emitting each distinct
+    core once.
 
-    node_ops counts window insertions, window deletions and end groups
-    visited by the scans; peak_live and peak_state, the most live windows
-    and live windows plus a scan's largest core (its accumulator, when the
-    sink reads ids), serve the memory contract. peak_live is the first
-    placement's count, as an expiry swaps a window for at most its edge's
-    next one. A deadline (a time.perf_counter value) is checked once per
-    start time.
+    node_ops = |W| + expiries + groups visited: each window is inserted
+    once and expired as the sweep leaves its start (never at the span end),
+    and each scan visits every end group. peak_live and peak_state, the
+    most live windows and live windows plus a scan's largest core, serve
+    the memory contract; the first scan gathers every windowed edge's live
+    window into its last core, so they read the windowed edges and twice
+    that. A deadline (a time.perf_counter value) is checked on entry and
+    once per start time visited.
     """
     ts_lo, ts_hi = span
     if index.span != (ts_lo, ts_hi):
         raise ValueError("window index was built for a different span")
+    check_deadline(deadline, "sweep at start", ts_lo)
     edge, start, end = index.edge, index.start, index.end
     n = len(start)
     sink.bind(index.g.edges)
@@ -195,53 +201,22 @@ def enumerate_cores(index: CoreWindowIndex, span: tuple[int, int],
     for i, s in enumerate(start):
         by_start[s].append(i)
     # the live windows by end time: the ids of their edges when the sink
-    # reads them, else only how many there are. Each edge's first window is
-    # live from the span start; the groups are made in a loop of their own,
-    # as made amid the by_start arrays the sweep read about 5% slower
+    # reads them, else only how many there are
     live: dict[int, set[int] | int] = {}
-    n_live = 0
-    prev = None
-    for e, te in zip(edge, end):
-        if e != prev:
-            if gather:
-                live.setdefault(te, set()).add(e)
-            else:
-                live[te] = live.get(te, 0) + 1
-            n_live += 1
-            prev = e
-    ops = peak_live = n_live
-    peak_state = 0
+    # the first scan's arrivals: the first window of each edge's run
+    arriving = compress(range(n), map(ne, edge, chain((-1,), edge)))
+    ops = n
+    peak_live = 0
     cores0, size0 = sink.cores, sink.result_size
-    for t in range(ts_lo, ts_hi + 1):
+    for t in sorted(by_start):
         check_deadline(deadline, "sweep at start", t)
-        expired = by_start.get(t - 1, ())
-        for i in expired:
-            e = edge[i]
+        for i in arriving:
             te = end[i]
             if gather:
-                group = live[te]
-                group.remove(e)
-                if not group:
-                    del live[te]
-            elif live[te] > 1:
-                live[te] -= 1
+                live.setdefault(te, set()).add(edge[i])
             else:
-                del live[te]
-            # the edge's next window goes live as this one expires
-            j = i + 1
-            if j < n and edge[j] == e:
-                te = end[j]
-                if gather:
-                    live.setdefault(te, set()).add(e)
-                else:
-                    live[te] = live.get(te, 0) + 1
-                n_live += 1
-                ops += 1
-        n_live -= len(expired)
-        ops += len(expired)
-        starting = by_start.get(t)
-        if not starting:
-            continue
+                live[te] = live.get(te, 0) + 1
+        starting = by_start[t]
         first = min(map(end.__getitem__, starting))
         prev_len = 0
         # one branch per scan, so the gathering loop is the same for the
@@ -249,7 +224,6 @@ def enumerate_cores(index: CoreWindowIndex, span: tuple[int, int],
         if gather:
             acc: list[int] = []
             for te in sorted(live):
-                ops += 1
                 acc.extend(live[te])
                 if te >= first:
                     sink.emit(t, te, acc, prev_len)
@@ -258,15 +232,35 @@ def enumerate_cores(index: CoreWindowIndex, span: tuple[int, int],
         else:
             size = 0
             for te in sorted(live):
-                ops += 1
                 size += live[te]
                 if te >= first:
                     sink.emit(t, te, range(size), prev_len)
                     prev_len = size
-        if n_live + size > peak_state:
-            peak_state = n_live + size
+        ops += len(live)
+        if size > peak_live:
+            peak_live = size
+        if t == ts_hi:
+            break
+        # expire the windows starting at t; each edge's next window arrives
+        arriving = []
+        for i in starting:
+            e = edge[i]
+            te = end[i]
+            group = live[te]
+            if gather:
+                group.remove(e)
+                if not group:
+                    del live[te]
+            elif group > 1:
+                live[te] = group - 1
+            else:
+                del live[te]
+            j = i + 1
+            if j < n and edge[j] == e:
+                arriving.append(j)
+        ops += len(starting)
     return SweepStats(sink.cores - cores0, ops, sink.result_size - size0,
-                      peak_live, peak_state)
+                      peak_live, 2 * peak_live)
 
 
 def enumerate_cores_baseline(index: CoreWindowIndex, span: tuple[int, int],
